@@ -8,8 +8,8 @@ and a numeric reflection representation.
 """
 
 from .catalog import ENTRIES, get, names
-from .census import (SimplexRecord, enumerate_simplices, euler_series,
-                     euler_series_by_type, panel_union_euler)
+from .census import (SimplexRecord, census_by_type, enumerate_simplices,
+                     euler_series, euler_series_by_type, panel_union_euler)
 from .classify import FiniteTypeInfo, classify, is_spherical, spherical_subsets
 from .coxeter import (INFINITY, CoxeterMatrix, CoxParseError, bits_of,
                       coxeter_matrix, format_subset, mask_of,
@@ -35,7 +35,7 @@ __all__ = [
     "coset_decomposition_check", "cross_check_oracles",
     "GrowthTable", "InvariantViolation", "growth_table", "growth_series",
     "nerve_coefficient", "nerve_link", "verify_identity", "verify_identities",
-    "SimplexRecord", "enumerate_simplices", "euler_series",
+    "SimplexRecord", "census_by_type", "enumerate_simplices", "euler_series",
     "euler_series_by_type", "panel_union_euler",
     "ENTRIES", "names", "get",
     "__version__",

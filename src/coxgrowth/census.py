@@ -18,7 +18,13 @@ The length value of a record is length(shortest representative) for coxeter
 and davis, and length(shortest) + longest_length(T) for tits (the longest
 element of the coset).  ``euler_series`` collects sum (-1)^dim t^length over
 all records; the per-type slices have exact closed forms in terms of the
-growth table, which ``euler_series_by_type`` attaches for comparison.
+growth table.
+
+One private enumerator walks the census simplex by simplex and feeds every
+consumer: ``enumerate_simplices`` (the sorted records), ``euler_series``
+(the total) and ``census_by_type``, the one-pass API that fills every type's
+slice and record count at once and attaches its closed form for comparison.
+``euler_series_by_type`` looks up a single type in that result.
 """
 
 from __future__ import annotations
@@ -49,11 +55,6 @@ class SimplexRecord:
     length_value: int
 
 
-def _check_kind(kind):
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-
-
 @lru_cache(maxsize=None)
 def spherical_chains(matrix: CoxeterMatrix) -> tuple:
     """All strict chains T0 < T1 < ... < Tk of spherical subsets, as mask tuples."""
@@ -75,25 +76,24 @@ def spherical_chains(matrix: CoxeterMatrix) -> tuple:
 
 def valid_type_masks(matrix: CoxeterMatrix, kind: str) -> list:
     """The subset types a record of this kind can carry."""
-    _check_kind(kind)
     full = matrix.full_mask
     if kind == "coxeter":
         return [t for t in range(full + 1) if t != full]
     if kind == "davis":
         return list(spherical_subsets(matrix))
-    return [t for t in spherical_subsets(matrix) if t != full]
+    if kind == "tits":
+        return [t for t in spherical_subsets(matrix) if t != full]
+    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def enumerate_simplices(matrix: CoxeterMatrix, kind: str, horizon: int = None,
-                        oracle: WordOracle = None) -> list:
-    """All simplex records with length value <= horizon, sorted deterministically.
+def _resolve(matrix: CoxeterMatrix, kind: str, horizon, oracle):
+    """Check a census request; return (valid types, horizon, oracle).
 
     For a finite group with kind "coxeter" or "tits" the horizon may be
-    omitted and the whole (finite) complex is enumerated.  Kind "davis"
-    requires an infinite group.  A coset is recorded by its shortest element
-    u, recognized by its descent set missing T entirely.
+    omitted and defaults to the longest element length, so the whole
+    (finite) complex is covered.  Kind "davis" requires an infinite group.
     """
-    _check_kind(kind)
+    types = valid_type_masks(matrix, kind)
     info = classify(matrix, matrix.full_mask)
     if kind == "davis" and info.finite:
         raise ValueError("the davis chamber model is only defined for infinite groups")
@@ -105,54 +105,59 @@ def enumerate_simplices(matrix: CoxeterMatrix, kind: str, horizon: int = None,
         raise ValueError("horizon must be nonnegative")
     if oracle is None:
         oracle = WordOracle(matrix)
+    return types, horizon, oracle
 
-    full = matrix.full_mask
-    rank = matrix.rank
-    records = []
 
-    if kind == "tits":
-        for t in valid_type_masks(matrix, "tits"):
-            top = classify(matrix, t).longest_length
-            dim = rank - t.bit_count() - 1
-            for k in range(horizon - top + 1):
-                for w in oracle.sphere(k):
-                    if oracle.descent_mask(w) & t == 0:
-                        records.append(SimplexRecord("tits", w, t, None, dim, k + top))
-    elif kind == "coxeter":
-        for k in range(horizon + 1):
-            for w in oracle.sphere(k):
-                d = oracle.descent_mask(w)
-                for t in submasks(full, proper=True):
-                    if d & t == 0:
-                        records.append(SimplexRecord(
-                            "coxeter", w, t, None, rank - t.bit_count() - 1, k))
-    else:
-        by_start = {}
+def _simplices(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOracle):
+    """Yield (rep, type_mask, chain, dim, length_value) for every simplex of the
+    census with length value <= horizon, in no particular order.
+
+    A coset of type T is recorded by its shortest element u, recognized by its
+    descent set missing T entirely, so the types at u are the submasks of the
+    complement of its descent set.  Each type carries its faces as (chain,
+    dim, shift), the length value being length(u) + shift.  The arguments are
+    those returned by :func:`_resolve`.
+    """
+    faces = {}
+    if kind == "davis":
         for chain in spherical_chains(matrix):
-            by_start.setdefault(chain[0], []).append(chain)
-        for k in range(horizon + 1):
-            for w in oracle.sphere(k):
-                d = oracle.descent_mask(w)
-                for t0, chains in by_start.items():
-                    if d & t0 == 0:
-                        for chain in chains:
-                            records.append(SimplexRecord(
-                                "davis", w, t0, chain, len(chain) - 1, k))
+            faces.setdefault(chain[0], []).append((chain, len(chain) - 1, 0))
+    else:
+        for t in valid_type_masks(matrix, kind):
+            shift = classify(matrix, t).longest_length if kind == "tits" else 0
+            faces[t] = [(None, matrix.rank - t.bit_count() - 1, shift)]
+    for k in range(horizon + 1):
+        for w in oracle.sphere(k):
+            free = matrix.full_mask & ~oracle.descent_mask(w)
+            types = submasks(free) if kind == "coxeter" else faces
+            for t in types:
+                if t & free == t:
+                    for chain, dim, shift in faces.get(t, ()):
+                        if k + shift <= horizon:
+                            yield w, t, chain, dim, k + shift
 
+
+def enumerate_simplices(matrix: CoxeterMatrix, kind: str, horizon: int = None,
+                        oracle: WordOracle = None) -> list:
+    """All simplex records with length value <= horizon, sorted deterministically.
+
+    The horizon may be omitted for a finite group with kind "coxeter" or
+    "tits"; kind "davis" requires an infinite group.
+    """
+    _, horizon, oracle = _resolve(matrix, kind, horizon, oracle)
+    records = [SimplexRecord(kind, *simplex)
+               for simplex in _simplices(matrix, kind, horizon, oracle)]
     records.sort(key=lambda r: (r.length_value, r.type_mask, r.chain or (), r.rep))
     return records
 
 
 def euler_series(matrix: CoxeterMatrix, kind: str, horizon: int = None,
-                 oracle: WordOracle = None, records=None) -> list:
+                 oracle: WordOracle = None) -> list:
     """Coefficients of sum (-1)^dim t^length over the census, up to the horizon."""
-    if records is None:
-        records = enumerate_simplices(matrix, kind, horizon, oracle)
-    if horizon is None:
-        horizon = classify(matrix, matrix.full_mask).longest_length
+    _, horizon, oracle = _resolve(matrix, kind, horizon, oracle)
     coeffs = [0] * (horizon + 1)
-    for rec in records:
-        coeffs[rec.length_value] += _sign(rec.dim)
+    for *_, dim, length in _simplices(matrix, kind, horizon, oracle):
+        coeffs[length] += _sign(dim)
     return coeffs
 
 
@@ -165,15 +170,17 @@ class TypeCensus:
     census: tuple
     closed_form: RatFunc
     closed_series: tuple
+    records: int          # number of simplex records of this type in the census
 
     @property
     def matches(self) -> bool:
         return self.census == self.closed_series
 
 
-def euler_series_by_type(matrix: CoxeterMatrix, kind: str, type_mask: Mask,
-                         horizon: int, oracle: WordOracle = None) -> TypeCensus:
-    """Census restricted to one type, with the exact closed form attached.
+def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
+                   oracle: WordOracle = None) -> list:
+    """Every valid type's census slice, with its exact closed form attached,
+    from one pass over the census; in :func:`valid_type_masks` order.
 
     Closed forms (W the full series, W_T the subset series, S the generators):
 
@@ -181,30 +188,42 @@ def euler_series_by_type(matrix: CoxeterMatrix, kind: str, type_mask: Mask,
         davis:    (-1)^{|T|} chi_T * W(t) / W_T(t)
         tits:     (-1)^{|S|-|T|-1} * W(t) / W_T(1/t)
     """
-    _check_kind(kind)
-    if type_mask not in valid_type_masks(matrix, kind):
-        raise ValueError(f"{format_subset(type_mask)} is not a valid {kind} type")
-    records = enumerate_simplices(matrix, kind, horizon, oracle)
-    if horizon is None:
-        horizon = classify(matrix, matrix.full_mask).longest_length
-    coeffs = [0] * (horizon + 1)
-    for rec in records:
-        if rec.type_mask == type_mask:
-            coeffs[rec.length_value] += _sign(rec.dim)
+    types, horizon, oracle = _resolve(matrix, kind, horizon, oracle)
+    slices = {t: [0] * (horizon + 1) for t in types}
+    counts = dict.fromkeys(types, 0)
+    for _, t, _, dim, length in _simplices(matrix, kind, horizon, oracle):
+        slices[t][length] += _sign(dim)
+        counts[t] += 1
 
     table = growth_table(matrix)
     w = table.series()
-    wt = table.series(type_mask)
     rank = matrix.rank
-    size = type_mask.bit_count()
-    if kind == "coxeter":
-        closed = _sign(rank - size - 1) * w / wt
-    elif kind == "davis":
-        closed = nerve_coefficient(matrix, type_mask) * _sign(size) * w / wt
-    else:
-        closed = _sign(rank - size - 1) * w / substitute_inverse(wt)
-    return TypeCensus(kind, type_mask, tuple(coeffs), closed,
-                      tuple(series_expand(closed, horizon)))
+    out = []
+    for t in types:
+        wt = table.series(t)
+        size = t.bit_count()
+        if kind == "coxeter":
+            closed = _sign(rank - size - 1) * w / wt
+        elif kind == "davis":
+            closed = nerve_coefficient(matrix, t) * _sign(size) * w / wt
+        else:
+            closed = _sign(rank - size - 1) * w / substitute_inverse(wt)
+        out.append(TypeCensus(kind, t, tuple(slices[t]), closed,
+                              tuple(series_expand(closed, horizon)), counts[t]))
+    return out
+
+
+def euler_series_by_type(matrix: CoxeterMatrix, kind: str, type_mask: Mask,
+                         horizon: int, oracle: WordOracle = None) -> TypeCensus:
+    """Census restricted to one type, with the exact closed form attached.
+
+    The slice of :func:`census_by_type` for ``type_mask``; use that function
+    directly to get every type from one pass.
+    """
+    if type_mask not in valid_type_masks(matrix, kind):
+        raise ValueError(f"{format_subset(type_mask)} is not a valid {kind} type")
+    return next(tc for tc in census_by_type(matrix, kind, horizon, oracle)
+                if tc.type_mask == type_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +256,12 @@ def check_face_length_drop(matrix: CoxeterMatrix, kind: str, horizon: int = None
     """
     if kind not in ("coxeter", "davis"):
         raise ValueError("the face-length criterion applies to kinds 'coxeter' and 'davis'")
-    info = classify(matrix, matrix.full_mask)
-    if kind == "davis" and info.finite:
-        raise ValueError("the davis chamber model is only defined for infinite groups")
-    if horizon is None:
-        if not info.finite:
-            raise ValueError("a horizon is required for an infinite group")
-        horizon = info.longest_length
-    if oracle is None:
-        oracle = WordOracle(matrix)
+    types, horizon, oracle = _resolve(matrix, kind, horizon, oracle)
     from .oracle import coset_components
 
     ball = oracle.ball(horizon)
     if kind == "coxeter":
-        weighted_types = [(t, 1) for t in valid_type_masks(matrix, "coxeter")]
+        weighted_types = [(t, 1) for t in types]
     else:
         chain_count = {}
         for chain in spherical_chains(matrix):
@@ -323,13 +334,7 @@ def check_local_alternating_sum(matrix: CoxeterMatrix, horizon: int = None,
     (-1)^{|S|-1}: the binomial alternating sum collapses unless the descent
     set is empty.
     """
-    if horizon is None:
-        info = classify(matrix, matrix.full_mask)
-        if not info.finite:
-            raise ValueError("a horizon is required for an infinite group")
-        horizon = info.longest_length
-    if oracle is None:
-        oracle = WordOracle(matrix)
+    _, horizon, oracle = _resolve(matrix, "coxeter", horizon, oracle)
     rank = matrix.rank
     report = LocalSumReport(horizon=horizon, chambers_checked=0)
     for w, length in oracle.ball(horizon).items():

@@ -15,8 +15,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .catalog import ENTRIES
-from .census import (KINDS, enumerate_simplices, euler_series,
-                     euler_series_by_type, valid_type_masks)
+from .census import KINDS, census_by_type
 from .classify import classify, spherical_subsets
 from .coxeter import CoxParseError, format_subset, parse_coxeter_file
 from .growth import (InvariantViolation, growth_table, nerve_coefficient,
@@ -71,7 +70,7 @@ def _cmd_growth(args):
     matrix = _load(args.file)
     table = growth_table(matrix)
     series = table.series()
-    info = table.info()
+    info = classify(matrix, matrix.full_mask)
     lines = [f"W(t) = {format_ratfunc(series)}"]
     if info.finite:
         lines.append(f"finite group of order {info.order}, "
@@ -140,22 +139,18 @@ def _cmd_chi(args):
 
 def _cmd_census(args):
     matrix = _load(args.file)
-    info = classify(matrix, matrix.full_mask)
-    horizon = args.max_length
-    if horizon is None and not info.finite:
+    if args.max_length is None and not classify(matrix, matrix.full_mask).finite:
         raise ValueError("--max-length is required for an infinite group")
-    oracle = WordOracle(matrix)
-    records = enumerate_simplices(matrix, args.complex, horizon, oracle)
-    if horizon is None:
-        horizon = info.longest_length
-    coeffs = euler_series(matrix, args.complex, horizon, records=records)
+    slices = census_by_type(matrix, args.complex, args.max_length)
+    coeffs = [sum(column) for column in zip(*(tc.census for tc in slices))]
+    record_count = sum(tc.records for tc in slices)
     label = "chi^t" if args.complex == "tits" else "chi_t"
     lines = [f"{label} coefficients: {coeffs}",
-             f"records: {len(records)}"]
+             f"records: {record_count}"]
     checks = []
     by_type = []
-    for t in valid_type_masks(matrix, args.complex):
-        tc = euler_series_by_type(matrix, args.complex, t, horizon, oracle)
+    for tc in slices:
+        t = tc.type_mask
         by_type.append({"type": format_subset(t), "mask": t,
                         "census": list(tc.census),
                         "closed_form": format_ratfunc(tc.closed_form),
@@ -168,8 +163,8 @@ def _cmd_census(args):
             lines.append(f"type {format_subset(t):<12} census {list(tc.census)}  "
                          f"closed form {format_ratfunc(tc.closed_form)}  "
                          f"{'ok' if tc.matches else 'MISMATCH'}")
-    data = {"kind": args.complex, "horizon": horizon,
-            "coefficients": coeffs, "record_count": len(records),
+    data = {"kind": args.complex, "horizon": len(coeffs) - 1,
+            "coefficients": coeffs, "record_count": record_count,
             "by_type": by_type}
     return lines, data, checks
 

@@ -80,14 +80,6 @@ class GrowthTable:
             subset = self.matrix.full_mask
         return self._series[subset]
 
-    def info(self, subset: Mask = None):
-        if subset is None:
-            subset = self.matrix.full_mask
-        return classify(self.matrix, subset)
-
-    def __getitem__(self, subset: Mask) -> RatFunc:
-        return self._series[subset]
-
 
 @lru_cache(maxsize=None)
 def growth_table(matrix: CoxeterMatrix) -> GrowthTable:
@@ -170,7 +162,7 @@ def verify_identity(matrix: CoxeterMatrix, which: int) -> IdentityReport:
         raise ValueError("identity number must be 1, 2, 3 or 4")
     table = growth_table(matrix)
     full = matrix.full_mask
-    info = table.info(full)
+    info = classify(matrix, full)
     w_full = table.series(full)
 
     if which in (1, 2):

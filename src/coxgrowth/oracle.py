@@ -149,6 +149,8 @@ class WordOracle:
         return self._spheres[k] if k < len(self._spheres) else []
 
     def sphere_sizes(self, horizon: int) -> list:
+        if horizon < 0:
+            raise ValueError("horizon must be nonnegative")
         return [len(self.sphere(k)) for k in range(horizon + 1)]
 
     def ball(self, horizon: int) -> dict:
@@ -384,6 +386,8 @@ class CrossCheckReport:
 def cross_check_oracles(matrix: CoxeterMatrix, horizon: int,
                         oracle: WordOracle = None) -> CrossCheckReport:
     """Compare sphere sizes and per-element descent sets between the two oracles."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     if oracle is None:
         oracle = WordOracle(matrix)
     geo = GeometricOracle(matrix)

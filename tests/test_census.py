@@ -1,10 +1,12 @@
 """Simplex censuses, Euler series, face-length drops, and panel unions."""
 
+from collections import Counter
+
 import pytest
 
-from coxgrowth import (enumerate_simplices, euler_series,
+from coxgrowth import (census_by_type, enumerate_simplices, euler_series,
                        euler_series_by_type, get, panel_union_euler)
-from coxgrowth.census import (check_face_length_drop,
+from coxgrowth.census import (KINDS, check_face_length_drop,
                               check_local_alternating_sum, spherical_chains,
                               valid_type_masks)
 
@@ -145,6 +147,26 @@ def test_by_type_census_rejects_bad_type():
     m = get("inf-dihedral").matrix
     with pytest.raises(ValueError, match="not a valid"):
         euler_series_by_type(m, "tits", 0b11, 4)  # full set is not spherical
+
+
+def test_census_by_type_counts_records_per_type(oracle_for):
+    m = get("tilde-a2").matrix
+    o = oracle_for("tilde-a2")
+    for kind in KINDS:
+        counts = Counter(r.type_mask for r in enumerate_simplices(m, kind, 4, o))
+        slices = census_by_type(m, kind, 4, o)
+        assert [tc.type_mask for tc in slices] == valid_type_masks(m, kind)
+        assert {tc.type_mask: tc.records for tc in slices} == \
+            {t: counts[t] for t in valid_type_masks(m, kind)}
+
+
+def test_unknown_kind_is_rejected():
+    m = get("a2").matrix
+    for call in (lambda: valid_type_masks(m, "cubical"),
+                 lambda: euler_series(m, "cubical"),
+                 lambda: census_by_type(m, "cubical")):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            call()
 
 
 def test_euler_series_prefix_stability(oracle_for):

@@ -6,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from coxgrowth import enumerate_simplices, euler_series, get
 from coxgrowth.cli import REPORT_SCHEMA, main
 
 SYS = str(Path(__file__).resolve().parent.parent / "systems")
@@ -115,6 +116,35 @@ def test_oracle_cross_check(capsys):
     assert "descent sets are spherical" in names
     assert "numeric representation agreement" in names
     assert doc["data"]["sphere_sizes"] == [1, 3, 5, 7, 8, 8, 7]
+
+
+@pytest.mark.parametrize("name,kind,horizon", [
+    ("a3", "coxeter", None),
+    ("a3", "tits", None),
+    ("tilde-a2", "coxeter", 5),
+    ("tilde-a2", "davis", 5),
+    ("tilde-a2", "tits", 5),
+])
+def test_census_json_agrees_with_library(capsys, oracle_for, name, kind, horizon):
+    argv = ["census", f"{SYS}/{name}.cox", "--complex", kind]
+    if horizon is not None:
+        argv += ["--max-length", str(horizon)]
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    data = doc["data"]
+    m = get(name).matrix
+    assert data["record_count"] == len(enumerate_simplices(m, kind, horizon, oracle_for(name)))
+    assert data["coefficients"] == euler_series(m, kind, horizon, oracle_for(name))
+    columns = [sum(col) for col in zip(*(t["census"] for t in data["by_type"]))]
+    assert columns == data["coefficients"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--cross-check"]])
+def test_oracle_rejects_negative_horizon(capsys, extra):
+    code, out, err = run(capsys, "oracle", f"{SYS}/b3.cox", "--max-length", "-1", *extra)
+    assert code == 1
+    assert out == ""
+    assert "error: horizon must be nonnegative" in err
 
 
 def test_catalog_listing(capsys):

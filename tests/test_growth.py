@@ -28,7 +28,7 @@ def test_table_subset_entries(table_for):
 def test_finite_series_is_palindromic_polynomial(table_for):
     for name in FINITE:
         table = table_for(name)
-        info = table.info()
+        info = classify(table.matrix, table.matrix.full_mask)
         series = table.series()
         assert series.den == Poly((1,)), name
         coeffs = series.num.coeffs
@@ -163,7 +163,7 @@ def test_identity_finite_palindromicity_connection(table_for):
     for name in ("a3", "b3", "i2-7"):
         table = table_for(name)
         w = table.series()
-        m = table.info().longest_length
+        m = classify(table.matrix, table.matrix.full_mask).longest_length
         assert substitute_inverse(w) == w / RatFunc.t_power(m)
 
 
