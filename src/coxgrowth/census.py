@@ -24,7 +24,8 @@ One private enumerator walks the census simplex by simplex and feeds every
 consumer: ``enumerate_simplices`` (the sorted records), ``euler_series``
 (the total) and ``census_by_type``, the one-pass API that fills every type's
 slice and record count at once and attaches its closed form for comparison.
-``euler_series_by_type`` looks up a single type in that result.
+``euler_series_by_type`` makes the same pass but builds the closed form of
+its one type only.
 """
 
 from __future__ import annotations
@@ -177,6 +178,34 @@ class TypeCensus:
         return self.census == self.closed_series
 
 
+def _type_census(matrix: CoxeterMatrix, kind: str, horizon: int, t: Mask,
+                 census: list, records: int) -> TypeCensus:
+    """Attach type t's closed form (see :func:`census_by_type`) to its slice."""
+    table = growth_table(matrix)
+    w = table.series()
+    wt = table.series(t)
+    size = t.bit_count()
+    if kind == "coxeter":
+        closed = _sign(matrix.rank - size - 1) * w / wt
+    elif kind == "davis":
+        closed = nerve_coefficient(matrix, t) * _sign(size) * w / wt
+    else:
+        closed = _sign(matrix.rank - size - 1) * w / substitute_inverse(wt)
+    return TypeCensus(kind, t, tuple(census), closed,
+                      tuple(series_expand(closed, horizon)), records)
+
+
+def _type_slices(matrix: CoxeterMatrix, kind: str, horizon, oracle):
+    """One pass over the census: (types, horizon, slice per type, records per type)."""
+    types, horizon, oracle = _resolve(matrix, kind, horizon, oracle)
+    slices = {t: [0] * (horizon + 1) for t in types}
+    counts = dict.fromkeys(types, 0)
+    for _, t, _, dim, length in _simplices(matrix, kind, horizon, oracle):
+        slices[t][length] += _sign(dim)
+        counts[t] += 1
+    return types, horizon, slices, counts
+
+
 def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
                    oracle: WordOracle = None) -> list:
     """Every valid type's census slice, with its exact closed form attached,
@@ -188,42 +217,23 @@ def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
         davis:    (-1)^{|T|} chi_T * W(t) / W_T(t)
         tits:     (-1)^{|S|-|T|-1} * W(t) / W_T(1/t)
     """
-    types, horizon, oracle = _resolve(matrix, kind, horizon, oracle)
-    slices = {t: [0] * (horizon + 1) for t in types}
-    counts = dict.fromkeys(types, 0)
-    for _, t, _, dim, length in _simplices(matrix, kind, horizon, oracle):
-        slices[t][length] += _sign(dim)
-        counts[t] += 1
-
-    table = growth_table(matrix)
-    w = table.series()
-    rank = matrix.rank
-    out = []
-    for t in types:
-        wt = table.series(t)
-        size = t.bit_count()
-        if kind == "coxeter":
-            closed = _sign(rank - size - 1) * w / wt
-        elif kind == "davis":
-            closed = nerve_coefficient(matrix, t) * _sign(size) * w / wt
-        else:
-            closed = _sign(rank - size - 1) * w / substitute_inverse(wt)
-        out.append(TypeCensus(kind, t, tuple(slices[t]), closed,
-                              tuple(series_expand(closed, horizon)), counts[t]))
-    return out
+    types, horizon, slices, counts = _type_slices(matrix, kind, horizon, oracle)
+    return [_type_census(matrix, kind, horizon, t, slices[t], counts[t]) for t in types]
 
 
 def euler_series_by_type(matrix: CoxeterMatrix, kind: str, type_mask: Mask,
                          horizon: int, oracle: WordOracle = None) -> TypeCensus:
     """Census restricted to one type, with the exact closed form attached.
 
-    The slice of :func:`census_by_type` for ``type_mask``; use that function
-    directly to get every type from one pass.
+    The slice of :func:`census_by_type` for ``type_mask``, with only that
+    type's closed form built; use :func:`census_by_type` to get every type
+    from one pass.
     """
     if type_mask not in valid_type_masks(matrix, kind):
         raise ValueError(f"{format_subset(type_mask)} is not a valid {kind} type")
-    return next(tc for tc in census_by_type(matrix, kind, horizon, oracle)
-                if tc.type_mask == type_mask)
+    _, horizon, slices, counts = _type_slices(matrix, kind, horizon, oracle)
+    return _type_census(matrix, kind, horizon, type_mask,
+                        slices[type_mask], counts[type_mask])
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ search; with rank capped at 16 this is instant.
 
 Each catalog family carries two numbers used downstream: the number of
 positive roots (= the length of the longest element) and the group order.
-Entries small enough to enumerate are re-derived by the word oracle in the
-test suite; the remaining values (E-family, H4, large B/D) are trusted
-catalog data, as noted in the README.
+Entries small enough to enumerate (every type of order up to 10^5, E6, F4
+and H4 included) are re-derived by the word oracle in the test suite; the
+remaining values (E7, E8, large A/B/D) are trusted catalog data, as noted
+in the README.
 """
 
 from __future__ import annotations

@@ -1,13 +1,30 @@
-"""Brute-force enumeration of group elements by reduced words.
+"""Exact enumeration of group elements by ShortLex normal forms.
 
-An element is represented by its canonical reduced word: the lexicographically
-least member of the braid class, i.e. the closure of one reduced word under
-replacing an alternating factor ``stst...`` of length m(s, t) by ``tsts...``
-(pairs with no relation admit no move).  Two reduced words name the same
-element exactly when they are braid-connected, so the class minimum is a
-sound normal form; no linear algebra is involved.  Class sizes are capped,
-and blowing the cap raises :class:`OracleHorizonError` rather than returning
-anything partial.
+Every element gets an integer id, assigned in ShortLex order (by length, then
+lexicographically by canonical word), and stores three things: its canonical
+word (the ShortLex-least reduced word), its right descent mask, and a row of
+``rank`` ids giving its right multiple by each generator.  Multiplication and
+descent sets are table lookups; nothing is stored beyond O(rank) per element
+besides the canonical word itself.
+
+Sphere k + 1 is built from sphere k alone.  Walk sphere k in ShortLex order;
+for an element w and an ascent s, the element v = w*s has s as a descent with
+v*s = w.  For t != s with m = m(s, t) finite, s and t are both descents of v
+exactly when v = x*w0(s, t) with lengths adding (the rank-2 parabolic facts,
+Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 2), that is, when w
+steps down by t, s, t, ... for m - 1 steps, each letter a descent of the
+element it leaves.  Then v*t is reached by climbing back from the bottom x
+along the alternating word of length m - 1 ending in s, over up-edges already
+in the table.  The canonical word of v is the least of canonical(v*t) + (t,)
+over its descents t, so v is new exactly when w has the smallest id among
+those v*t; otherwise the earlier v*t already points at v.  New elements are
+therefore created in ShortLex order with canonical word canonical(w) + (s,),
+and no braid class is ever formed.
+
+Braid classes (the closure of a reduced word under replacing an alternating
+factor ``stst...`` of length m(s, t) by ``tsts...``) remain available on
+demand through :meth:`WordOracle.braid_class`, as an independent reference
+whose size is capped; blowing the cap raises :class:`OracleHorizonError`.
 
 A second, numerically independent oracle drives the standard reflection
 representation in floating point (:class:`GeometricOracle`); it is used only
@@ -19,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import cos, pi
 
-import numpy as np
-
 from .classify import classify
 from .coxeter import INFINITY, CoxeterMatrix, Mask, bits_of, format_subset
 
@@ -30,7 +45,8 @@ DEFAULT_CLASS_CAP = 1_000_000
 
 
 class OracleHorizonError(RuntimeError):
-    """A braid class outgrew the configured cap; the enumeration is out of reach."""
+    """An enumeration is out of reach: a braid class outgrew its cap, or a
+    finite group was not exhausted within the requested length."""
 
 
 def _alternating(s, t, m):
@@ -38,35 +54,101 @@ def _alternating(s, t, m):
 
 
 class WordOracle:
-    """Exhaustive word enumeration for one Coxeter system, with memoized braid classes."""
+    """Exhaustive ShortLex enumeration for one Coxeter system, by table lookup."""
 
     def __init__(self, matrix: CoxeterMatrix, class_cap: int = DEFAULT_CLASS_CAP):
         self.matrix = matrix
         self.rank = matrix.rank
         self.class_cap = class_cap
-        self._patterns = {}
-        for s in range(self.rank):
-            for t in range(self.rank):
-                if s == t:
-                    continue
-                m = matrix.orders[s][t]
-                if m is INFINITY:
-                    continue
-                self._patterns[(s, t)] = (_alternating(s, t, m), _alternating(t, s, m))
-        self._canon = {(): ()}
-        self._classes = {(): frozenset({()})}
-        self._descents = {(): 0}
-        self._spheres = [[()]]
+        orders = matrix.orders
+        # per generator s: the (t, m(s, t)) with t != s and a finite order
+        self._partners = [[(t, orders[s][t]) for t in range(self.rank)
+                           if t != s and orders[s][t] is not INFINITY]
+                          for s in range(self.rank)]
+        self._words = [()]            # id -> canonical word
+        self._descents = [0]          # id -> right descent mask
+        self._table = [-1] * self.rank  # id * rank + s -> id of w*s; -1 until built
+        self._index = {(): 0}         # canonical word -> id
+        self._starts = [0, 1]         # sphere k holds the ids starts[k] .. starts[k+1] - 1
         self._exhausted = False
+
+    # -- the table -------------------------------------------------------------
+
+    def _extend(self):
+        """Build the next sphere from the last one (see the module docstring)."""
+        rank = self.rank
+        partners = self._partners
+        words, descents, table, index = self._words, self._descents, self._table, self._index
+        for w in range(self._starts[-2], self._starts[-1]):
+            dw = descents[w]
+            row = w * rank
+            for s in range(rank):
+                if dw >> s & 1:
+                    continue
+                v = -1
+                mask = 1 << s
+                down = [-1] * rank            # v's table row: v*t at its descents t
+                down[s] = w
+                for t, m in partners[s]:
+                    x, a, b = w, t, s
+                    for _ in range(m - 1):
+                        if not descents[x] >> a & 1:
+                            break
+                        x = table[x * rank + a]
+                        a, b = b, a
+                    else:
+                        for _ in range(m - 1):
+                            x = table[x * rank + a]
+                            a, b = b, a
+                        if x < w:
+                            v = table[x * rank + t]
+                            break
+                        mask |= 1 << t
+                        down[t] = x
+                if v < 0:
+                    v = len(words)
+                    word = words[w] + (s,)
+                    words.append(word)
+                    descents.append(mask)
+                    index[word] = v
+                    table += down
+                table[row + s] = v
+        self._starts.append(len(words))
+        if self._starts[-1] == self._starts[-2]:
+            self._exhausted = True
+
+    def _times(self, i: int, s: int) -> int:
+        """Id of (element i) * s, building the next sphere if it is needed."""
+        if not 0 <= s < self.rank:
+            raise ValueError(f"generator {s} is out of range for rank {self.rank}")
+        j = self._table[i * self.rank + s]
+        if j < 0:
+            # i lies in the outermost sphere built and s is one of its ascents
+            self._extend()
+            j = self._table[i * self.rank + s]
+        return j
+
+    def _id(self, word) -> int:
+        """Id of the element a word spells; the word need not be reduced."""
+        word = tuple(word)
+        i = self._index.get(word)
+        if i is None:
+            i = 0
+            for s in word:
+                i = self._times(i, s)
+        return i
 
     # -- braid classes and normal forms ------------------------------------
 
     def braid_class(self, word) -> frozenset:
-        """All reduced words of the element of the given reduced word."""
+        """All words braid-equivalent to the given one: for a reduced word, all
+        reduced words of its element.  Computed on demand, not stored; raises
+        :class:`OracleHorizonError` past ``class_cap`` words."""
+        patterns = {}
+        for s in range(self.rank):
+            for t, m in self._partners[s]:
+                patterns[(s, t)] = (_alternating(s, t, m), _alternating(t, s, m))
         word = tuple(word)
-        canon = self._canon.get(word)
-        if canon is not None:
-            return self._classes[canon]
         seen = {word}
         frontier = [word]
         while frontier:
@@ -74,7 +156,7 @@ class WordOracle:
             for u in frontier:
                 length = len(u)
                 for i in range(length - 1):
-                    pat = self._patterns.get((u[i], u[i + 1]))
+                    pat = patterns.get((u[i], u[i + 1]))
                     if pat is None:
                         continue
                     old, new = pat
@@ -89,64 +171,29 @@ class WordOracle:
                     f"braid class of a word of length {len(word)} exceeds cap {self.class_cap}"
                 )
             frontier = nxt
-        cls = frozenset(seen)
-        canon = min(cls)
-        for u in cls:
-            self._canon[u] = canon
-        self._classes[canon] = cls
-        return cls
+        return frozenset(seen)
 
     def canonical(self, word) -> Word:
-        """ShortLex-least reduced word of the element (all class members share a length)."""
-        word = tuple(word)
-        canon = self._canon.get(word)
-        if canon is None:
-            self.braid_class(word)
-            canon = self._canon[word]
-        return canon
+        """ShortLex-least reduced word of the element the word spells."""
+        return self._words[self._id(word)]
 
     def descent_mask(self, word) -> Mask:
         """Right descents: generators ending some reduced word of the element."""
-        w = self.canonical(word)
-        d = self._descents.get(w)
-        if d is None:
-            d = 0
-            for u in self._classes[w]:
-                if u:
-                    d |= 1 << u[-1]
-            self._descents[w] = d
-        return d
+        return self._descents[self._id(word)]
 
     def right_multiply(self, word, s: int) -> Word:
         """Canonical word of w*s, in either length direction."""
-        w = self.canonical(word)
-        if not (self.descent_mask(w) >> s) & 1:
-            return self.canonical(w + (s,))
-        for u in self._classes[w]:
-            if u[-1] == s:
-                return self.canonical(u[:-1])
-        raise AssertionError("descent generator without a witnessing reduced word")
+        return self._words[self._times(self._id(word), s)]
 
     # -- sphere enumeration --------------------------------------------------
 
-    def _extend(self):
-        prev = self._spheres[-1]
-        new = set()
-        for w in prev:
-            d = self.descent_mask(w)
-            for s in range(self.rank):
-                if not (d >> s) & 1:
-                    new.add(self.canonical(w + (s,)))
-        if new:
-            self._spheres.append(sorted(new))
-        else:
-            self._exhausted = True
-
     def sphere(self, k: int) -> list:
         """Canonical words of length exactly k, sorted."""
-        while len(self._spheres) <= k and not self._exhausted:
+        while len(self._starts) <= k + 1 and not self._exhausted:
             self._extend()
-        return self._spheres[k] if k < len(self._spheres) else []
+        if k + 1 < len(self._starts):
+            return self._words[self._starts[k]:self._starts[k + 1]]
+        return []
 
     def sphere_sizes(self, horizon: int) -> list:
         if horizon < 0:
@@ -178,23 +225,23 @@ class WordOracle:
         """Canonical words (in parent letters) of the parabolic subgroup on ``subset``.
 
         Only valid for spherical subsets; enumeration walks ascents inside the
-        subset, which stays inside the subgroup because braid moves never
-        enlarge the letter support of a word.
+        subset, which stays inside the subgroup because every reduced word of
+        an element uses the same letters.
         """
         if not classify(self.matrix, subset).finite:
             raise ValueError(f"subset {format_subset(subset)} generates an infinite subgroup")
         gens = bits_of(subset)
         members = [()]
-        layer = [()]
+        layer = [0]
         while layer:
             new = set()
-            for w in layer:
-                d = self.descent_mask(w)
+            for i in layer:
+                d = self._descents[i]
                 for s in gens:
                     if not (d >> s) & 1:
-                        new.add(self.canonical(w + (s,)))
-            layer = sorted(new)
-            members.extend(layer)
+                        new.add(self._times(i, s))
+            layer = sorted(new)      # ids are in ShortLex order
+            members.extend(self._words[i] for i in layer)
         return members
 
 
@@ -236,12 +283,14 @@ def coset_components(oracle: WordOracle, ball: dict, subset: Mask) -> dict:
         comp[start] = next_id
         while stack:
             w = stack.pop()
+            d = oracle.descent_mask(w)
             for s in gens:
-                v = oracle.right_multiply(w, s)
-                if len(v) <= horizon and v not in comp:
-                    # v is in the ball: lengths change by exactly one
-                    comp[v] = next_id
-                    stack.append(v)
+                # an ascent from the horizon leaves the ball: never multiply past it
+                if len(w) < horizon or (d >> s) & 1:
+                    v = oracle.right_multiply(w, s)
+                    if v not in comp:
+                        comp[v] = next_id
+                        stack.append(v)
         next_id += 1
     return comp
 
@@ -308,10 +357,13 @@ class GeometricOracle:
     with no relation.  A generator s is a right descent of w exactly when the
     column w(a_s) has all coordinates <= 0 (tolerance 1e-8).  Deduplication
     rounds matrix entries, which is safe at the short lengths this oracle is
-    meant for.
+    meant for.  numpy is imported here rather than with the package, so the
+    commands that never cross-check do not load it.
     """
 
     def __init__(self, matrix: CoxeterMatrix, tol: float = 1e-8):
+        import numpy as np
+
         self.matrix = matrix
         self.rank = matrix.rank
         self.tol = tol
@@ -332,17 +384,19 @@ class GeometricOracle:
 
     def _key(self, mat):
         # adding 0.0 folds -0.0 into +0.0, which tobytes() would distinguish
-        return (np.round(mat, 6) + 0.0).tobytes()
+        return (mat.round(6) + 0.0).tobytes()
 
     def descent_mask(self, mat) -> Mask:
         d = 0
         for s in range(self.rank):
-            if np.max(mat[:, s]) <= self.tol:
+            if mat[:, s].max() <= self.tol:
                 d |= 1 << s
         return d
 
     def layers(self, horizon: int) -> list:
         """Per-length lists of (matrix, witness word) pairs, up to the horizon."""
+        import numpy as np
+
         identity = np.eye(self.rank)
         seen = {self._key(identity)}
         out = [[(identity, ())]]
@@ -371,7 +425,7 @@ class GeometricOracle:
 
 @dataclass
 class CrossCheckReport:
-    """Agreement between the rewriting oracle and the numeric representation."""
+    """Agreement between the word oracle and the numeric representation."""
 
     horizon: int
     symbolic_sizes: list

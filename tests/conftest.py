@@ -1,8 +1,8 @@
 """Shared fixtures: session-cached oracles and growth tables per catalog entry.
 
-BFS enumeration and braid-class closure dominate the suite's runtime, so every
-test that needs an oracle for a catalog system goes through ``oracle_for`` and
-shares one memoized instance.
+A word oracle builds its table of elements sphere by sphere and keeps it, so
+every test that needs an oracle for a catalog system goes through
+``oracle_for`` and shares one instance, whose table only grows.
 """
 
 import pytest

@@ -1,10 +1,11 @@
 """Finite-type recognition, checked against independent enumeration.
 
 The classifier's catalog values (positive-root counts and orders) are
-verified two ways: exhaustive word enumeration where braid classes stay
-small, and the numeric reflection representation for F4/H4/E6 where they
-do not.  E7/E8 orders are asserted against the standard values only; see
-the README for this trust boundary.
+verified two ways: exhaustive exact word enumeration, and the numeric
+reflection representation.  Every finite type of order up to 10^5 (A1-A7,
+B2-B6, D4-D6, E6, F4, H3, H4, I2(m)) is enumerated exactly, and those beyond
+A4, B4 and D4 numerically as well.  E7/E8 orders are asserted against the
+standard values only; see the README for this trust boundary.
 """
 
 import pytest
@@ -129,6 +130,11 @@ def test_spherical_subsets_downward_closed():
     coxeter_matrix(4, {(0, 2): 3, (1, 2): 3, (2, 3): 3}),
     path(3, [5, 3]),
     path(2, [5]), path(2, [6]), path(2, [12]),
+    path(5), path(6), path(7),                              # A5, A6, A7
+    path(5, [3, 3, 3, 4]), path(6, [3, 3, 3, 3, 4]),        # B5, B6
+    D5,
+    coxeter_matrix(6, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3}),
+    F4, H4, E6,
 ])
 def test_orders_against_word_enumeration(matrix):
     info = classify(matrix, matrix.full_mask)
@@ -138,9 +144,9 @@ def test_orders_against_word_enumeration(matrix):
     assert hist == series_expand(growth_table(matrix).series(), info.longest_length)
 
 
-# every finite type of order <= 10^5 that braid-class enumeration cannot
-# reach cheaply; together with the word-oracle cases above this covers all
-# catalog types up to that order bound by element-level enumeration
+# the larger finite types of order <= 10^5 once more, through the floating-
+# point reflection representation: a second element-level enumeration that
+# shares no code with the word oracle above
 @pytest.mark.parametrize("matrix", [
     path(5), path(6), path(7),                              # A5, A6, A7
     path(5, [3, 3, 3, 4]), path(6, [3, 3, 3, 3, 4]),        # B5, B6

@@ -1,11 +1,15 @@
 """CLI behaviour: output text, exit codes, and the JSON report schema."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import coxgrowth
 from coxgrowth import enumerate_simplices, euler_series, get
 from coxgrowth.cli import REPORT_SCHEMA, main
 
@@ -191,3 +195,14 @@ def test_json_deterministic_modulo_timestamp(capsys):
 
 def test_schema_is_draft7_valid():
     jsonschema.Draft7Validator.check_schema(REPORT_SCHEMA)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves only the --cross-check oracle; it is imported there
+    src = str(Path(coxgrowth.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, coxgrowth.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from coxgrowth import (OracleHorizonError, WordOracle,
+from coxgrowth import (ENTRIES, OracleHorizonError, WordOracle,
                        coset_decomposition_check, cross_check_oracles, get)
 from coxgrowth.coxeter import coxeter_matrix
 from coxgrowth.oracle import coset_components
@@ -95,8 +95,43 @@ def test_relabelling_invariance_of_spheres():
 def test_class_cap_raises():
     # H3's longest element has a huge braid class; a tiny cap must trip
     o = WordOracle(get("h3").matrix, class_cap=5)
+    (w0,) = o.sphere(15)
     with pytest.raises(OracleHorizonError, match="cap 5"):
-        o.sphere_sizes(15)
+        o.braid_class(w0)
+
+
+def test_canonical_of_non_reduced_word():
+    o = WordOracle(get("a2").matrix)
+    assert o.canonical((0, 0)) == ()
+    assert o.canonical((1, 0, 1, 1)) == (1, 0)
+    assert o.canonical((0, 1, 1, 0, 1)) == (1,)
+    assert o.descent_mask((0, 1, 1, 0, 1)) == 0b10
+    with pytest.raises(ValueError, match="out of range"):
+        o.canonical((0, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        o.right_multiply((0,), -1)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
+def test_table_against_braid_classes(entry):
+    # every element of the ball against the closure of its canonical word
+    o = WordOracle(entry.matrix)
+    for w in o.ball(8):
+        cls = o.braid_class(w)
+        assert min(cls) == w
+        assert all(o.canonical(u) == w for u in cls)
+        last = 0
+        for u in cls:
+            if u:
+                last |= 1 << u[-1]
+        assert o.descent_mask(w) == last
+        for s in range(entry.matrix.rank):
+            v = o.right_multiply(w, s)
+            if (last >> s) & 1:
+                assert len(v) == len(w) - 1
+                assert v + (s,) in cls
+            else:
+                assert w + (s,) in o.braid_class(v)
 
 
 def test_subgroup_elements():
