@@ -6,19 +6,20 @@ diagram is isomorphic (as an edge-labelled graph) to a catalog entry.
 Matching runs a degree/label prefilter and then an explicit isomorphism
 search; with rank capped at 16 this is instant.
 
-Each catalog family carries two numbers used downstream: the number of
-positive roots (= the length of the longest element) and the group order.
-Entries small enough to enumerate (every type of order up to 10^5, E6, F4
-and H4 included) are re-derived by the word oracle in the test suite; the
-remaining values (E7, E8, large A/B/D) are trusted catalog data, as noted
-in the README.
+Each catalog family carries one datum, its degrees d_1, ..., d_n (the
+degrees of the basic invariants).  Everything used downstream derives from
+them: the number of positive roots sum(d_i - 1), which is the length of the
+longest element, and the group order prod(d_i).  Entries small enough to
+enumerate (every type of order up to 10^5, E6, F4 and H4 included) are
+re-derived by the word oracle in the test suite; the remaining values (E7,
+E8, large A/B/D) are trusted catalog data, as noted in the README.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import prod
 
 from .coxeter import INFINITY, CoxeterMatrix, Mask, bits_of, diagram_components
 
@@ -31,8 +32,15 @@ class ComponentType:
     rank: int
     parameter: int        # dihedral order m for I2, else 0
     mask: Mask
-    positive_roots: int
-    order: int
+    degrees: tuple        # degrees of the basic invariants, ascending
+
+    @property
+    def positive_roots(self) -> int:
+        return sum(d - 1 for d in self.degrees)
+
+    @property
+    def order(self) -> int:
+        return prod(self.degrees)
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,7 @@ class FiniteTypeInfo:
     components: tuple
     longest_length: int   # sum of positive-root counts; None when infinite
     order: int            # product of component orders; None when infinite
+    degrees: tuple = None  # all components' degrees, ascending; None when infinite
 
 
 _INFINITE = FiniteTypeInfo(False, (), None, None)
@@ -52,24 +61,46 @@ def _path(labels):
     return tuple((i, i + 1, m) for i, m in enumerate(labels))
 
 
+_EXCEPTIONAL_DEGREES = {
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "F4": (2, 6, 8, 12),
+    "H3": (2, 6, 10),
+    "H4": (2, 12, 20, 30),
+}
+
+
+def degrees_of(label: str, rank: int, parameter: int = 0) -> tuple:
+    """Degrees of the basic invariants of one finite irreducible type, ascending."""
+    if label == "A":
+        return tuple(range(2, rank + 2))
+    if label == "B":
+        return tuple(range(2, 2 * rank + 1, 2))
+    if label == "D":
+        return tuple(sorted(tuple(range(2, 2 * rank - 1, 2)) + (rank,)))
+    if label == "I2":
+        return (2, parameter)
+    return _EXCEPTIONAL_DEGREES[label]
+
+
 def _candidate_diagrams(n):
-    """Catalog diagrams at rank n >= 3 as (label, edges, roots, order, parameter)."""
-    yield ("A", _path((3,) * (n - 1)), n * (n + 1) // 2, factorial(n + 1), 0)
-    yield ("B", _path((3,) * (n - 2) + (4,)), n * n, 2 ** n * factorial(n), 0)
+    """Catalog diagrams at rank n >= 3 as (label, edges)."""
+    yield ("A", _path((3,) * (n - 1)))
+    yield ("B", _path((3,) * (n - 2) + (4,)))
     if n >= 4:
-        edges = ((0, 2, 3), (1, 2, 3)) + tuple((i, i + 1, 3) for i in range(2, n - 1))
-        yield ("D", edges, n * (n - 1), 2 ** (n - 1) * factorial(n), 0)
+        yield ("D", ((0, 2, 3), (1, 2, 3)) + tuple((i, i + 1, 3) for i in range(2, n - 1)))
     if n == 3:
-        yield ("H3", _path((5, 3)), 15, 120, 0)
+        yield ("H3", _path((5, 3)))
     if n == 4:
-        yield ("F4", _path((3, 4, 3)), 24, 1152, 0)
-        yield ("H4", _path((5, 3, 3)), 60, 14400, 0)
+        yield ("F4", _path((3, 4, 3)))
+        yield ("H4", _path((5, 3, 3)))
     if n == 6:
-        yield ("E6", _path((3, 3, 3, 3)) + ((2, 5, 3),), 36, 51840, 0)
+        yield ("E6", _path((3, 3, 3, 3)) + ((2, 5, 3),))
     if n == 7:
-        yield ("E7", _path((3, 3, 3, 3, 3)) + ((2, 6, 3),), 63, 2903040, 0)
+        yield ("E7", _path((3, 3, 3, 3, 3)) + ((2, 6, 3),))
     if n == 8:
-        yield ("E8", _path((3, 3, 3, 3, 3, 3)) + ((2, 7, 3),), 120, 696729600, 0)
+        yield ("E8", _path((3, 3, 3, 3, 3, 3)) + ((2, 7, 3),))
 
 
 def _isomorphic(n, edges, cand_edges):
@@ -132,7 +163,7 @@ def _match_component(matrix, comp):
     verts = bits_of(comp)
     n = len(verts)
     if n == 1:
-        return ComponentType("A", 1, 0, comp, 1, 2)
+        return ComponentType("A", 1, 0, comp, degrees_of("A", 1))
 
     local = {v: i for i, v in enumerate(verts)}
     edges = {}
@@ -147,19 +178,19 @@ def _match_component(matrix, comp):
     if n == 2:
         m = next(iter(edges.values()))
         if m == 3:
-            return ComponentType("A", 2, 0, comp, 3, 6)
+            return ComponentType("A", 2, 0, comp, degrees_of("A", 2))
         if m == 4:
-            return ComponentType("B", 2, 0, comp, 4, 8)
-        return ComponentType("I2", 2, m, comp, m, 2 * m)
+            return ComponentType("B", 2, 0, comp, degrees_of("B", 2))
+        return ComponentType("I2", 2, m, comp, degrees_of("I2", 2, m))
 
     if len(edges) != n - 1:        # finite-type diagrams are trees
         return None
     labels = sorted(edges.values())
-    for label, cand_edges, roots, order, param in _candidate_diagrams(n):
+    for label, cand_edges in _candidate_diagrams(n):
         if sorted(m for _, _, m in cand_edges) != labels:
             continue
         if _isomorphic(n, edges, cand_edges):
-            return ComponentType(label, n, param, comp, roots, order)
+            return ComponentType(label, n, 0, comp, degrees_of(label, n))
     return None
 
 
@@ -168,24 +199,20 @@ def classify(matrix: CoxeterMatrix, subset: Mask) -> FiniteTypeInfo:
     """Decide finiteness of the parabolic subgroup on ``subset``.
 
     For a finite subgroup the result carries the component decomposition,
-    the longest element length (sum of the components' positive-root counts)
-    and the group order (product of component orders).
+    the degrees of all components, and from them the longest element length
+    (the positive-root count sum(d - 1)) and the group order (prod(d)).
     """
     if subset & ~matrix.full_mask:
         raise ValueError("subset is not within the generator set")
-    if subset == 0:
-        return FiniteTypeInfo(True, (), 0, 1)
     matched = []
     for comp in diagram_components(matrix, subset):
         ct = _match_component(matrix, comp)
         if ct is None:
             return _INFINITE
         matched.append(ct)
-    length = sum(c.positive_roots for c in matched)
-    order = 1
-    for c in matched:
-        order *= c.order
-    return FiniteTypeInfo(True, tuple(matched), length, order)
+    degrees = tuple(sorted(d for c in matched for d in c.degrees))
+    return FiniteTypeInfo(True, tuple(matched), sum(d - 1 for d in degrees),
+                          prod(degrees), degrees)
 
 
 def is_spherical(matrix: CoxeterMatrix, subset: Mask) -> bool:

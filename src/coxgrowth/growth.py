@@ -1,19 +1,42 @@
 """Growth series of standard parabolic subgroups, assembled exactly.
 
-The table is filled bottom-up over subsets ordered by size.  The trivial
-subgroup has series 1; every larger subset T is solved for out of the
-alternating sum of reciprocal subseries S(T) = sum_{U < T} (-1)^{|U|} / W_U:
+The table is built by inverting the alternating sum of reciprocal subseries
+S(T) = sum_{U < T} (-1)^{|U|} / W_U, one subset T at a time:
 
     finite W_T, longest length m:   W_T = (t^m - (-1)^{|T|}) / S(T)
     infinite W_T:                   1 / W_T = (-1)^{|T|+1} * S(T)
 
-Finiteness comes from the diagram classifier, never from the series.  A zero
-divisor in either branch is structurally impossible and raises
-:class:`InvariantViolation` instead of silently producing nonsense.
+Finiteness and m come from the diagram classifier, never from the series.
+
+All of this runs over one common denominator.  A finite W_T is a product of
+cyclotomic polynomials Phi_k (k >= 2), Phi_k occurring once per degree of
+W_T divisible by k (Solomon 1966), so every 1/W_T, and every signed sum of
+them, is N_T / L for an integer polynomial N_T and the one denominator
+
+    L = prod_k Phi_k^{e_k},   e_k = max over spherical T of #{degrees of T divisible by k},
+
+built per table from the classifier's degree tuples.  The recursion then
+adds plain integer coefficient vectors (no gcd anywhere): an infinite entry
+is N_T = (-1)^{|T|+1} * acc with acc = L * S(T), and a finite entry is
+N_T = acc / (t^m - (-1)^{|T|}) followed by W_T = L / N_T.  Both divisions
+must be exact in Z[t] and W_T must have degree m; a zero acc, an inexact
+division or a wrong degree is structurally impossible and raises
+:class:`InvariantViolation` instead of returning nonsense.  The degrees only
+size L: no entry is ever set from Solomon's product formula.
+
+Subsets are visited in increasing mask order, which lists every subset
+before its supersets.  The sums over proper subsets are formed by a
+divide-and-conquer over the bits: a block of masks sharing their high bits
+is solved as its lower half (next bit clear), whose subset sums are then
+added into the upper half before it is solved, and each block hands its
+own subset sums back up.  That is n * 2^n vector additions in place of one
+per (subset, proper subset) pair, 3^n.  ``series(T)`` canonicalises one
+entry, once, when it is asked for.
 
 ``verify_identity`` re-assembles both sides of four classical identities
 from the finished table (S below is the full generator set, Sph the family
-of subsets generating finite subgroups, m the longest element length):
+of subsets generating finite subgroups, m the longest element length), each
+side summed over L and canonicalised once:
 
     1:  sum_{T <= S} (-1)^{|T|} / W_T(t)          == 0            (W infinite)
     2:  sum_{T <= S} (-1)^{|T|} / W_T(t)          == t^m / W(t)   (W finite)
@@ -31,9 +54,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .classify import classify, spherical_subsets
-from .coxeter import CoxeterMatrix, Mask, submasks
-from .ratfunc import (Poly, RatFunc, RF_ZERO, format_ratfunc,
-                      substitute_inverse)
+from .coxeter import CoxeterMatrix, Mask
+from .ratfunc import P_ONE, Poly, RatFunc, RF_ZERO, format_ratfunc, substitute_inverse
 
 
 class InvariantViolation(RuntimeError):
@@ -44,40 +66,129 @@ def _sign(k: int) -> int:
     return -1 if k & 1 else 1
 
 
+def _cyclotomic(k: int, known: dict) -> Poly:
+    """Phi_k, from t^k - 1 over the Phi_d of its proper divisors (memoised in ``known``)."""
+    if k not in known:
+        phi = Poly.t_power(k) - 1
+        for d in range(1, k // 2 + 1):
+            if k % d == 0:
+                phi = phi.exact_div(_cyclotomic(d, known))
+        known[k] = phi
+    return known[k]
+
+
+def _common_denominator(degree_tuples) -> Poly:
+    """L = prod_k Phi_k^{e_k}: the least common multiple of the prod_i [d_i]_t."""
+    exponents = {}
+    for degrees in degree_tuples:
+        counts = {}
+        for d in degrees:
+            for k in range(2, d + 1):
+                if d % k == 0:
+                    counts[k] = counts.get(k, 0) + 1
+        for k, c in counts.items():
+            exponents[k] = max(exponents.get(k, 0), c)
+    known = {}
+    out = P_ONE
+    for k in sorted(exponents):
+        phi = _cyclotomic(k, known)
+        for _ in range(exponents[k]):
+            out = out * phi
+    return out
+
+
+def _add(a: list, b: list) -> list:
+    return [x + y for x, y in zip(a, b)]
+
+
+def _divide_binomial(acc: list, m: int, sign: int):
+    """acc / (t^m - sign) as a coefficient list of the same length, or None if inexact."""
+    rem = list(acc)
+    quot = [0] * len(acc)
+    for k in range(len(acc) - 1, m - 1, -1):
+        c = rem[k]
+        if c:
+            quot[k - m] = c
+            rem[k - m] += sign * c
+    return None if any(rem[:m]) else quot
+
+
 class GrowthTable:
-    """Growth series of every standard parabolic subgroup of one system."""
+    """Growth series of every standard parabolic subgroup of one system.
+
+    ``denominator`` is the common denominator L; entry T is held as the
+    signed numerator (-1)^{|T|} N_T of 1/W_T = N_T / L, a coefficient list
+    of length deg L + 1.
+    """
 
     def __init__(self, matrix: CoxeterMatrix):
         self.matrix = matrix
-        self._series = {0: RatFunc(1)}
-        self._inverse = {0: RatFunc(1)}
-        for subset in sorted(range(1, 1 << matrix.rank), key=lambda T: (T.bit_count(), T)):
-            info = classify(matrix, subset)
-            acc = RF_ZERO
-            for sub in submasks(subset, proper=True):
-                acc = acc + _sign(sub.bit_count()) * self._inverse[sub]
-            size = subset.bit_count()
-            if info.finite:
-                if not acc:
-                    raise InvariantViolation(
-                        f"zero alternating sum below finite subset {subset:#x}")
-                m = info.longest_length
-                series = RatFunc(Poly.t_power(m) - _sign(size)) / acc
-                if not series.is_polynomial or series.num.degree != m:
-                    raise InvariantViolation(
-                        f"finite subset {subset:#x} did not produce a degree-{m} polynomial")
-            else:
-                inverse = _sign(size + 1) * acc
-                if not inverse:
-                    raise InvariantViolation(
-                        f"zero reciprocal series at infinite subset {subset:#x}")
-                series = inverse.reciprocal()
-            self._series[subset] = series
-            self._inverse[subset] = series.reciprocal()
+        infos = [classify(matrix, T) for T in range(1 << matrix.rank)]
+        self.denominator = _common_denominator({i.degrees for i in infos if i.finite})
+        self._signed = [None] * len(infos)
+        self._polynomials = {0: P_ONE}    # W_T of every finite T
+        self._series = {}
+        width = len(self.denominator.coeffs)
+        self._block(0, matrix.rank, [[0] * width] * len(infos), infos)
+
+    def _block(self, base: Mask, k: int, incoming: list, infos: list) -> list:
+        """Solve the masks base | x, x < 2^k, and return their subset sums.
+
+        ``incoming[x]`` is the sum of the signed numerators of the subsets of
+        base | x that lie outside the block; the result's entry x is the sum
+        over the subsets of base | x inside it.
+        """
+        if k == 0:
+            self._signed[base] = self._solve(base, incoming[0], infos[base])
+            return [self._signed[base]]
+        half = 1 << (k - 1)
+        low = self._block(base, k - 1, incoming[:half], infos)
+        high = self._block(base | half, k - 1,
+                           list(map(_add, incoming[half:], low)), infos)
+        return low + list(map(_add, low, high))
+
+    def _solve(self, subset: Mask, acc: list, info) -> list:
+        """Signed numerator of one entry from the sum ``acc`` over its proper subsets."""
+        if subset == 0:
+            return list(self.denominator.coeffs)
+        sign = _sign(subset.bit_count())
+        if not info.finite:
+            if not any(acc):
+                raise InvariantViolation(
+                    f"zero reciprocal series at infinite subset {subset:#x}")
+            return [-c for c in acc]
+        if not any(acc):
+            raise InvariantViolation(
+                f"zero alternating sum below finite subset {subset:#x}")
+        m = info.longest_length
+        numerator = _divide_binomial(acc, m, sign)
+        series = None
+        if numerator is not None:
+            try:
+                series = self.denominator.exact_div(Poly(numerator))
+            except ValueError:
+                pass
+        if series is None or series.degree != m:
+            raise InvariantViolation(
+                f"finite subset {subset:#x} did not produce a degree-{m} polynomial")
+        self._polynomials[subset] = series
+        return numerator if sign > 0 else [-c for c in numerator]
+
+    def _numerator(self, subset: Mask) -> Poly:
+        """N_T, with 1 / W_T = N_T / L."""
+        sign = _sign(subset.bit_count())
+        return Poly(c * sign for c in self._signed[subset])
 
     def series(self, subset: Mask = None) -> RatFunc:
         if subset is None:
             subset = self.matrix.full_mask
+        if subset & ~self.matrix.full_mask:
+            raise ValueError("subset is not within the generator set")
+        if subset not in self._series:
+            if subset in self._polynomials:
+                self._series[subset] = RatFunc(self._polynomials[subset])
+            else:
+                self._series[subset] = RatFunc(self.denominator, self._numerator(subset))
         return self._series[subset]
 
 
@@ -163,33 +274,36 @@ def verify_identity(matrix: CoxeterMatrix, which: int) -> IdentityReport:
     table = growth_table(matrix)
     full = matrix.full_mask
     info = classify(matrix, full)
-    w_full = table.series(full)
+    signed = table._signed
+
+    def over_denominator(terms):
+        total = [0] * len(table.denominator.coeffs)
+        for term in terms:
+            total = _add(total, term)
+        return RatFunc(Poly(total), table.denominator)
 
     if which in (1, 2):
         want_finite = (which == 2)
         if info.finite != want_finite:
             note = ("the group is finite" if info.finite else "the group is infinite")
             return IdentityReport(which, False, None, False, None, None, note)
-        lhs = RF_ZERO
-        for subset in submasks(full):
-            lhs = lhs + _sign(subset.bit_count()) * table.series(subset).reciprocal()
+        lhs = over_denominator(signed)
         if which == 1:
             rhs = RF_ZERO
         else:
-            rhs = RatFunc(Poly.t_power(info.longest_length)) / w_full
+            rhs = RatFunc(table._numerator(full).shifted(info.longest_length),
+                          table.denominator)
         return IdentityReport(which, True, lhs == rhs, True, lhs, rhs,
                               "inverted to build the full-group entry")
 
-    lhs = RF_ZERO
-    for subset in spherical_subsets(matrix):
-        term = _sign(subset.bit_count()) * table.series(subset).reciprocal()
-        if which == 3:
-            term = term * nerve_coefficient(matrix, subset)
-        lhs = lhs + term
+    sph = spherical_subsets(matrix)
     if which == 3:
-        rhs = w_full.reciprocal()
+        weights = ((T, nerve_coefficient(matrix, T)) for T in sph)
+        lhs = over_denominator([c * chi for c in signed[T]] for T, chi in weights)
     else:
-        rhs = substitute_inverse(w_full).reciprocal()
+        lhs = over_denominator(signed[T] for T in sph)
+    reciprocal = RatFunc(table._numerator(full), table.denominator)
+    rhs = reciprocal if which == 3 else substitute_inverse(reciprocal)
     return IdentityReport(which, True, lhs == rhs, False, lhs, rhs)
 
 

@@ -388,8 +388,8 @@ class GeometricOracle:
 
     def descent_mask(self, mat) -> Mask:
         d = 0
-        for s in range(self.rank):
-            if mat[:, s].max() <= self.tol:
+        for s, top in enumerate(mat.max(axis=0).tolist()):
+            if top <= self.tol:
                 d |= 1 << s
         return d
 

@@ -1,17 +1,22 @@
 """Finite-type recognition, checked against independent enumeration.
 
-The classifier's catalog values (positive-root counts and orders) are
-verified two ways: exhaustive exact word enumeration, and the numeric
-reflection representation.  Every finite type of order up to 10^5 (A1-A7,
-B2-B6, D4-D6, E6, F4, H3, H4, I2(m)) is enumerated exactly, and those beyond
-A4, B4 and D4 numerically as well.  E7/E8 orders are asserted against the
-standard values only; see the README for this trust boundary.
+The catalog stores one datum per family, its degrees.  The positive-root
+counts and orders derived from them are checked against the classical
+closed forms, and verified two ways: exhaustive exact word enumeration, and
+the numeric reflection representation.  Every finite type of order up to
+10^5 (A1-A7, B2-B6, D4-D6, E6, F4, H3, H4, I2(m)) is enumerated exactly,
+and those beyond A4, B4 and D4 numerically as well.  E7/E8 orders are
+asserted against the standard values only; see the README for this trust
+boundary.
 """
+
+from math import factorial
 
 import pytest
 
 from coxgrowth import (GeometricOracle, WordOracle, classify, get,
                        growth_table, is_spherical, spherical_subsets)
+from coxgrowth.classify import ComponentType, degrees_of
 from coxgrowth.coxeter import INFINITY, coxeter_matrix
 from coxgrowth.ratfunc import series_expand
 
@@ -54,6 +59,43 @@ def test_recognizes_finite_types(matrix, order, longest):
     assert info.finite
     assert info.order == order
     assert info.longest_length == longest
+
+
+def _component(label, rank, parameter=0):
+    return ComponentType(label, rank, parameter, 0, degrees_of(label, rank, parameter))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_degrees_give_classical_counts(n):
+    # the closed forms the catalog carried before it stored degrees
+    a, b, d = _component("A", n), _component("B", n), _component("D", n)
+    assert (a.positive_roots, a.order) == (n * (n + 1) // 2, factorial(n + 1))
+    assert (b.positive_roots, b.order) == (n * n, 2 ** n * factorial(n))
+    assert (d.positive_roots, d.order) == (n * (n - 1), 2 ** (n - 1) * factorial(n))
+
+
+@pytest.mark.parametrize("label,roots,order", [
+    ("E6", 36, 51840), ("E7", 63, 2903040), ("E8", 120, 696729600),
+    ("F4", 24, 1152), ("H3", 15, 120), ("H4", 60, 14400),
+])
+def test_exceptional_degrees_give_classical_counts(label, roots, order):
+    c = _component(label, int(label[1]))
+    assert (c.positive_roots, c.order) == (roots, order)
+    assert len(c.degrees) == c.rank
+
+
+def test_dihedral_degrees():
+    for m in range(2, 13):
+        c = _component("I2", 2, m)
+        assert (c.positive_roots, c.order) == (m, 2 * m)
+
+
+def test_reducible_degrees_are_merged():
+    # A2 x B2 x A1: degrees {2, 3} + {2, 4} + {2}
+    m = coxeter_matrix(5, {(0, 1): 3, (2, 3): 4})
+    assert classify(m, m.full_mask).degrees == (2, 2, 2, 3, 4)
+    assert classify(m, 0).degrees == ()
+    assert classify(get("tilde-a2").matrix, 0b111).degrees is None
 
 
 @pytest.mark.parametrize("matrix", [

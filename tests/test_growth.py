@@ -7,7 +7,8 @@ from coxgrowth import (ENTRIES, INFINITY, InvariantViolation, WordOracle,
                        classify, get, growth_series, growth_table,
                        nerve_coefficient, nerve_link, spherical_subsets,
                        verify_identities, verify_identity)
-from coxgrowth.coxeter import coxeter_matrix
+from coxgrowth import growth
+from coxgrowth.coxeter import coxeter_matrix, submasks
 from coxgrowth.growth import GrowthTable
 from coxgrowth.ratfunc import (Poly, RatFunc, format_ratfunc, series_expand,
                                substitute_inverse)
@@ -165,6 +166,120 @@ def test_identity_finite_palindromicity_connection(table_for):
         w = table.series()
         m = classify(table.matrix, table.matrix.full_mask).longest_length
         assert substitute_inverse(w) == w / RatFunc.t_power(m)
+
+
+def _q(d):
+    """The t-integer [d]_t = 1 + t + ... + t^(d-1)."""
+    return Poly((1,) * d)
+
+
+def _solomon(degrees):
+    out = Poly((1,))
+    for d in degrees:
+        out = out * _q(d)
+    return RatFunc(out)
+
+
+def _path(n):
+    return coxeter_matrix(n, {(i, i + 1): 3 for i in range(n - 1)})
+
+
+def _cycle(n):
+    return coxeter_matrix(n, {(i, (i + 1) % n): 3 for i in range(n)})
+
+
+# finite types beyond the shipped catalog, for the Solomon-product check
+E8 = coxeter_matrix(8, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3,
+                        (5, 6): 3, (2, 7): 3})
+EXTRA_FINITE = [_path(6), coxeter_matrix(5, {(0, 1): 3, (1, 2): 3, (2, 3): 4}),
+                coxeter_matrix(5, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3}),
+                coxeter_matrix(4, {(0, 1): 3, (1, 2): 4, (2, 3): 3}),
+                coxeter_matrix(4, {(0, 1): 5, (1, 2): 3, (2, 3): 3}), E8]
+
+
+def test_table_matches_solomon_product():
+    # independent of the construction, which never sets an entry from the
+    # degrees: every spherical entry is prod [d_i]_t over the catalog degrees
+    for matrix in [e.matrix for e in ENTRIES] + EXTRA_FINITE:
+        table = GrowthTable(matrix)
+        for t in spherical_subsets(matrix):
+            assert table.series(t) == _solomon(classify(matrix, t).degrees), (matrix, t)
+
+
+def test_rank_ten_identities():
+    for matrix in (_path(10), _cycle(10)):
+        reports = verify_identities(matrix)
+        assert all(r.holds for r in reports if r.applicable)
+        assert sum(r.applicable for r in reports) == 3
+    assert growth_series(_path(10)) == _solomon(range(2, 12))
+
+
+def _seed_table(matrix):
+    """The all-pairs RatFunc recursion the table replaced, kept as a reference."""
+    series, inverse = {0: RatFunc(1)}, {0: RatFunc(1)}
+    for subset in sorted(range(1, 1 << matrix.rank), key=lambda T: (T.bit_count(), T)):
+        info = classify(matrix, subset)
+        acc = RatFunc(0)
+        for sub in submasks(subset, proper=True):
+            acc = acc + (-1) ** sub.bit_count() * inverse[sub]
+        size = subset.bit_count()
+        if info.finite:
+            w = RatFunc(Poly.t_power(info.longest_length) - (-1) ** size) / acc
+        else:
+            w = ((-1) ** (size + 1) * acc).reciprocal()
+        series[subset], inverse[subset] = w, w.reciprocal()
+    return series
+
+
+def _assert_matches_seed(matrix):
+    table = GrowthTable(matrix)
+    for subset, w in _seed_table(matrix).items():
+        assert table.series(subset) == w, (matrix, subset)
+
+
+def test_table_matches_seed_recursion_on_catalog():
+    for entry in ENTRIES:
+        _assert_matches_seed(entry.matrix)
+
+
+@st.composite
+def systems_up_to_rank_5(draw):
+    rank = draw(st.integers(min_value=1, max_value=5))
+    pairs = {(i, j): draw(st.sampled_from([2, 2, 3, 3, 4, 5, 6, INFINITY]))
+             for i in range(rank) for j in range(i + 1, rank)}
+    return coxeter_matrix(rank, pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_up_to_rank_5())
+def test_table_matches_seed_recursion_on_random_systems(matrix):
+    _assert_matches_seed(matrix)
+
+
+def _divides(a, b):
+    try:
+        b.exact_div(a)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["a3", "b3", "h3", "i2-7", "tilde-a2",
+                                  "triangle-237", "racg-4cycle"])
+def test_denominator_missing_a_factor_is_caught(monkeypatch, name):
+    # any cyclotomic factor of L taken away leaves some finite entry whose
+    # numerator is not a polynomial: the table must raise, not return a series
+    matrix = get(name).matrix
+    full = growth._common_denominator
+    denominator = full({classify(matrix, t).degrees for t in spherical_subsets(matrix)})
+    factors = [k for k in range(2, 31)
+               if _divides(growth._cyclotomic(k, {}), denominator)]
+    assert factors
+    for k in factors:
+        monkeypatch.setattr(growth, "_common_denominator",
+                            lambda degrees, k=k: full(degrees).exact_div(growth._cyclotomic(k, {})))
+        with pytest.raises(InvariantViolation):
+            GrowthTable(matrix)
 
 
 def test_invariant_violation_message():

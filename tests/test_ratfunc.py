@@ -2,7 +2,7 @@
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coxgrowth.ratfunc import (Poly, RatFunc, format_poly, format_ratfunc,
                                poly_gcd, series_expand, substitute_inverse)
@@ -133,6 +133,35 @@ def test_ratfunc_field_axioms(a, b, c):
     assert a - a == RatFunc(P(), P(1))
     if b.num.degree >= 0:
         assert (a / b) * b == a
+
+
+def _sympy_canonical(num, den):
+    """sympy.cancel of num/den, normalised like RatFunc: integer coefficients
+    with coprime contents, lowest-order denominator coefficient positive."""
+    sympy = pytest.importorskip("sympy")
+    from math import gcd, lcm
+
+    t = sympy.Symbol("t")
+    expr = sum(c * t ** k for k, c in enumerate(num)) / sum(c * t ** k for k, c in enumerate(den))
+    top, bottom = sympy.fraction(sympy.cancel(expr))
+    cs = [[sympy.Rational(c) for c in reversed(sympy.Poly(side, t).all_coeffs())]
+          for side in (top, bottom)]
+    scale = lcm(*(int(c.q) for side in cs for c in side))
+    cs = [[int(c * scale) for c in side] for side in cs]
+    content = gcd(*(c for side in cs for c in side))
+    cs = [[c // content for c in side] for side in cs]
+    if next(c for c in cs[1] if c) < 0:
+        cs = [[-c for c in side] for side in cs]
+    return tuple(Poly(side).coeffs for side in cs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff_lists, coeff_lists.filter(lambda c: any(c)), coeff_lists.filter(lambda c: any(c)))
+def test_canonical_form_matches_sympy_cancel(num, den, common):
+    # a shared factor makes cancellation happen on most examples
+    n, d = Poly(num) * Poly(common), Poly(den) * Poly(common)
+    r = RatFunc(n, d)
+    assert (r.num.coeffs, r.den.coeffs) == _sympy_canonical(n.coeffs, d.coeffs)
 
 
 @given(rat_strategy())
