@@ -4,7 +4,7 @@ The package computes the growth series W(t) = sum_w t^len(w) of a Coxeter
 group as a canonical rational function with integer coefficients, proves the
 alternating-sum identities relating the series of standard parabolic
 subgroups, and cross-checks everything against brute-force word enumeration
-and a numeric reflection representation.
+and an exact reflection (Tits-cone) representation.
 """
 
 from .catalog import ENTRIES, get, names
@@ -15,8 +15,8 @@ from .coxeter import (INFINITY, CoxeterMatrix, CoxParseError, bits_of,
                       coxeter_matrix, format_subset, mask_of,
                       parse_coxeter_file, serialize_coxeter)
 from .growth import (GrowthTable, InvariantViolation, growth_series,
-                     growth_table, nerve_coefficient, nerve_link,
-                     verify_identities, verify_identity)
+                     growth_table, nerve_coefficient, nerve_coefficients,
+                     nerve_link, verify_identities, verify_identity)
 from .oracle import (GeometricOracle, OracleHorizonError, WordOracle,
                      coset_decomposition_check, cross_check_oracles)
 from .ratfunc import (Poly, RatFunc, format_poly, format_ratfunc,
@@ -34,7 +34,8 @@ __all__ = [
     "WordOracle", "GeometricOracle", "OracleHorizonError",
     "coset_decomposition_check", "cross_check_oracles",
     "GrowthTable", "InvariantViolation", "growth_table", "growth_series",
-    "nerve_coefficient", "nerve_link", "verify_identity", "verify_identities",
+    "nerve_coefficient", "nerve_coefficients", "nerve_link",
+    "verify_identity", "verify_identities",
     "SimplexRecord", "census_by_type", "enumerate_simplices", "euler_series",
     "euler_series_by_type", "panel_union_euler",
     "ENTRIES", "names", "get",

@@ -35,8 +35,8 @@ from functools import lru_cache
 
 from .classify import classify, spherical_subsets
 from .coxeter import CoxeterMatrix, Mask, format_subset, submasks
-from .growth import growth_table, nerve_coefficient
-from .oracle import WordOracle
+from .growth import growth_table, nerve_coefficients
+from .oracle import WordOracle, _coset_pieces
 from .ratfunc import RatFunc, series_expand, substitute_inverse
 
 KINDS = ("coxeter", "davis", "tits")
@@ -110,8 +110,8 @@ def _resolve(matrix: CoxeterMatrix, kind: str, horizon, oracle):
 
 
 def _simplices(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOracle):
-    """Yield (rep, type_mask, chain, dim, length_value) for every simplex of the
-    census with length value <= horizon, in no particular order.
+    """Yield (rep id, type_mask, chain, dim, length_value) for every simplex of
+    the census with length value <= horizon, in no particular order.
 
     A coset of type T is recorded by its shortest element u, recognized by its
     descent set missing T entirely, so the types at u are the submasks of the
@@ -128,14 +128,14 @@ def _simplices(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOracl
             shift = classify(matrix, t).longest_length if kind == "tits" else 0
             faces[t] = [(None, matrix.rank - t.bit_count() - 1, shift)]
     for k in range(horizon + 1):
-        for w in oracle.sphere(k):
-            free = matrix.full_mask & ~oracle.descent_mask(w)
+        for i in oracle.sphere_ids(k):
+            free = matrix.full_mask & ~oracle.descents(i)
             types = submasks(free) if kind == "coxeter" else faces
             for t in types:
                 if t & free == t:
                     for chain, dim, shift in faces.get(t, ()):
                         if k + shift <= horizon:
-                            yield w, t, chain, dim, k + shift
+                            yield i, t, chain, dim, k + shift
 
 
 def enumerate_simplices(matrix: CoxeterMatrix, kind: str, horizon: int = None,
@@ -146,8 +146,8 @@ def enumerate_simplices(matrix: CoxeterMatrix, kind: str, horizon: int = None,
     "tits"; kind "davis" requires an infinite group.
     """
     _, horizon, oracle = _resolve(matrix, kind, horizon, oracle)
-    records = [SimplexRecord(kind, *simplex)
-               for simplex in _simplices(matrix, kind, horizon, oracle)]
+    records = [SimplexRecord(kind, oracle.word(i), *rest)
+               for i, *rest in _simplices(matrix, kind, horizon, oracle)]
     records.sort(key=lambda r: (r.length_value, r.type_mask, r.chain or (), r.rep))
     return records
 
@@ -179,8 +179,9 @@ class TypeCensus:
 
 
 def _type_census(matrix: CoxeterMatrix, kind: str, horizon: int, t: Mask,
-                 census: list, records: int) -> TypeCensus:
-    """Attach type t's closed form (see :func:`census_by_type`) to its slice."""
+                 census: list, records: int, chis: dict) -> TypeCensus:
+    """Attach type t's closed form (see :func:`census_by_type`) to its slice;
+    ``chis`` holds the nerve coefficients (kind "davis" only)."""
     table = growth_table(matrix)
     w = table.series()
     wt = table.series(t)
@@ -188,7 +189,7 @@ def _type_census(matrix: CoxeterMatrix, kind: str, horizon: int, t: Mask,
     if kind == "coxeter":
         closed = _sign(matrix.rank - size - 1) * w / wt
     elif kind == "davis":
-        closed = nerve_coefficient(matrix, t) * _sign(size) * w / wt
+        closed = chis[t] * _sign(size) * w / wt
     else:
         closed = _sign(matrix.rank - size - 1) * w / substitute_inverse(wt)
     return TypeCensus(kind, t, tuple(census), closed,
@@ -218,7 +219,9 @@ def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
         tits:     (-1)^{|S|-|T|-1} * W(t) / W_T(1/t)
     """
     types, horizon, slices, counts = _type_slices(matrix, kind, horizon, oracle)
-    return [_type_census(matrix, kind, horizon, t, slices[t], counts[t]) for t in types]
+    chis = nerve_coefficients(matrix) if kind == "davis" else None
+    return [_type_census(matrix, kind, horizon, t, slices[t], counts[t], chis)
+            for t in types]
 
 
 def euler_series_by_type(matrix: CoxeterMatrix, kind: str, type_mask: Mask,
@@ -232,8 +235,9 @@ def euler_series_by_type(matrix: CoxeterMatrix, kind: str, type_mask: Mask,
     if type_mask not in valid_type_masks(matrix, kind):
         raise ValueError(f"{format_subset(type_mask)} is not a valid {kind} type")
     _, horizon, slices, counts = _type_slices(matrix, kind, horizon, oracle)
+    chis = nerve_coefficients(matrix) if kind == "davis" else None
     return _type_census(matrix, kind, horizon, type_mask,
-                        slices[type_mask], counts[type_mask])
+                        slices[type_mask], counts[type_mask], chis)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +271,8 @@ def check_face_length_drop(matrix: CoxeterMatrix, kind: str, horizon: int = None
     if kind not in ("coxeter", "davis"):
         raise ValueError("the face-length criterion applies to kinds 'coxeter' and 'davis'")
     types, horizon, oracle = _resolve(matrix, kind, horizon, oracle)
-    from .oracle import coset_components
-
-    ball = oracle.ball(horizon)
+    # the ball's ids are 0, 1, ... in ShortLex order, so by length
+    lengths = [k for k, size in enumerate(oracle.sphere_sizes(horizon)) for _ in range(size)]
     if kind == "coxeter":
         weighted_types = [(t, 1) for t in types]
     else:
@@ -279,23 +282,23 @@ def check_face_length_drop(matrix: CoxeterMatrix, kind: str, horizon: int = None
         weighted_types = sorted(chain_count.items())
 
     report = FaceLengthReport(kind=kind, horizon=horizon,
-                              chambers_checked=len(ball), simplices_checked=0)
+                              chambers_checked=len(lengths), simplices_checked=0)
     for t, weight in weighted_types:
-        comp = coset_components(oracle, ball, t)
+        comp = _coset_pieces(oracle, horizon, t)
         comp_min = {}
-        for w, cid in comp.items():
+        for cid, length in zip(comp, lengths):
             cur = comp_min.get(cid)
-            if cur is None or len(w) < cur:
-                comp_min[cid] = len(w)
-        for w in ball:
-            face_length = comp_min[comp[w]]
-            drops = face_length < len(w)
-            meets = oracle.descent_mask(w) & t != 0
+            if cur is None or length < cur:
+                comp_min[cid] = length
+        for i, (cid, length) in enumerate(zip(comp, lengths)):
+            face_length = comp_min[cid]
+            drops = face_length < length
+            meets = oracle.descents(i) & t != 0
             report.simplices_checked += weight
             if drops != meets:
                 report.counterexamples.append(
-                    f"chamber {w}, type {format_subset(t)}: "
-                    f"face length {face_length} vs chamber length {len(w)}, "
+                    f"chamber {oracle.word(i)}, type {format_subset(t)}: "
+                    f"face length {face_length} vs chamber length {length}, "
                     f"descent intersection {'nonempty' if meets else 'empty'}")
     return report
 
@@ -347,12 +350,13 @@ def check_local_alternating_sum(matrix: CoxeterMatrix, horizon: int = None,
     _, horizon, oracle = _resolve(matrix, "coxeter", horizon, oracle)
     rank = matrix.rank
     report = LocalSumReport(horizon=horizon, chambers_checked=0)
-    for w, length in oracle.ball(horizon).items():
-        report.chambers_checked += 1
-        value = sum(_sign(rank - t.bit_count() - 1)
-                    for t in submasks(oracle.descent_mask(w)))
-        expected = _sign(rank - 1) if length == 0 else 0
-        if value != expected:
-            report.counterexamples.append(
-                f"chamber {w}: local sum {value}, expected {expected}")
+    for k in range(horizon + 1):
+        for i in oracle.sphere_ids(k):
+            report.chambers_checked += 1
+            value = sum(_sign(rank - t.bit_count() - 1)
+                        for t in submasks(oracle.descents(i)))
+            expected = _sign(rank - 1) if k == 0 else 0
+            if value != expected:
+                report.counterexamples.append(
+                    f"chamber {oracle.word(i)}: local sum {value}, expected {expected}")
     return report

@@ -17,9 +17,9 @@ from datetime import datetime, timezone
 from . import __version__
 from .catalog import ENTRIES
 from .census import KINDS, census_by_type
-from .classify import classify, spherical_subsets
+from .classify import classify
 from .coxeter import CoxParseError, format_subset, parse_coxeter_file
-from .growth import (InvariantViolation, growth_table, nerve_coefficient,
+from .growth import (InvariantViolation, growth_table, nerve_coefficients,
                      nerve_link, verify_identities, verify_identity)
 from .oracle import OracleHorizonError, WordOracle, cross_check_oracles
 from .ratfunc import format_poly, format_ratfunc, series_expand
@@ -121,8 +121,7 @@ def _cmd_chi(args):
     lines = []
     checks = []
     rows = []
-    for subset in spherical_subsets(matrix):
-        chi = nerve_coefficient(matrix, subset)
+    for subset, chi in nerve_coefficients(matrix).items():
         link = nerve_link(matrix, subset)
         one_minus = 1 - link.euler_characteristic()
         sign = -1 if subset.bit_count() & 1 else 1
@@ -176,8 +175,8 @@ def _cmd_oracle(args):
     sizes = oracle.sphere_sizes(args.max_length)
     lines = [f"sphere sizes: {sizes}"]
     checks = []
-    masks = Counter(oracle.descent_mask(w)
-                    for k in range(args.max_length + 1) for w in oracle.sphere(k))
+    masks = Counter(oracle.descents(i)
+                    for k in range(args.max_length + 1) for i in oracle.sphere_ids(k))
     bad = sum(count for mask, count in masks.items()
               if not classify(matrix, mask).finite)
     checks.append(_check("descent sets are spherical",
@@ -272,7 +271,7 @@ def _build_parser():
     p.add_argument("file")
     p.add_argument("--max-length", type=int, required=True, metavar="N")
     p.add_argument("--cross-check", action="store_true",
-                   help="also run the numeric reflection representation")
+                   help="also run the exact Tits-cone representation")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("catalog", parents=[common],

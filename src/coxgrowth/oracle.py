@@ -1,11 +1,17 @@
-"""Exact enumeration of group elements by ShortLex normal forms.
+"""Exact enumeration of group elements: a ShortLex table and a Tits-cone check.
 
-Every element gets an integer id, assigned in ShortLex order (by length, then
-lexicographically by canonical word), and stores three things: its canonical
-word (the ShortLex-least reduced word), its right descent mask, and a row of
-``rank`` ids giving its right multiple by each generator.  Multiplication and
-descent sets are table lookups; nothing is stored beyond O(rank) per element
-besides the canonical word itself.
+Word oracle.  Every element gets an integer id, assigned in ShortLex order
+(by length, then lexicographically by canonical word, the ShortLex-least
+reduced word), and stores three things: its last letter (one byte), its
+right descent mask, and a row of ``rank`` ids giving its right multiple by
+each generator.  Nothing else is kept per element.  The parent of an
+element, the one its canonical word reaches a letter earlier, is the table
+entry at its last letter, so :meth:`WordOracle.word` rebuilds a canonical
+word from the parent chain only when a caller asks for one, and a word is
+turned into an id by walking the table from the identity.  Multiplication
+and descent sets are table lookups, and callers that iterate ids
+(:meth:`WordOracle.sphere_ids`, :meth:`WordOracle.descents`) build no word
+at all.
 
 Sphere k + 1 is built from sphere k alone.  Walk sphere k in ShortLex order;
 for an element w and an ascent s, the element v = w*s has s as a descent with
@@ -26,18 +32,26 @@ factor ``stst...`` of length m(s, t) by ``tsts...``) remain available on
 demand through :meth:`WordOracle.braid_class`, as an independent reference
 whose size is capped; blowing the cap raises :class:`OracleHorizonError`.
 
-A second, numerically independent oracle drives the standard reflection
-representation in floating point (:class:`GeometricOracle`); it is used only
-to cross-check sphere sizes and descent sets at short lengths.
+Geometric oracle.  :class:`GeometricOracle` enumerates the same balls through
+the contragredient action of W on the Tits cone, in exact integer arithmetic,
+and shares no code with the table; :func:`cross_check_oracles` compares
+their sphere sizes and every element's descent set.  Element w is stored as
+the n numbers y_t = <w^-1 x, alpha_t> for x = (1, ..., 1); y_t is the
+coefficient sum of the root w(alpha_t), so the right descents of w are the
+t with y_t < 0, and no y_t is ever 0.  The coefficients lie in Z[c] for
+c = 2cos(pi/M), M the lcm of the finite orders m >= 4 (plain integers when
+there is none); a sign is decided by interval evaluation on a rational
+bracket of c, halved until the sign is certain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, pi
+from math import lcm
 
 from .classify import classify
 from .coxeter import INFINITY, CoxeterMatrix, Mask, bits_of, format_subset
+from .growth import _cyclotomic
 
 Word = tuple
 
@@ -65,10 +79,9 @@ class WordOracle:
         self._partners = [[(t, orders[s][t]) for t in range(self.rank)
                            if t != s and orders[s][t] is not INFINITY]
                           for s in range(self.rank)]
-        self._words = [()]            # id -> canonical word
+        self._last = bytearray(1)     # id -> last letter of its canonical word (0 for e)
         self._descents = [0]          # id -> right descent mask
         self._table = [-1] * self.rank  # id * rank + s -> id of w*s; -1 until built
-        self._index = {(): 0}         # canonical word -> id
         self._starts = [0, 1]         # sphere k holds the ids starts[k] .. starts[k+1] - 1
         self._exhausted = False
 
@@ -78,7 +91,7 @@ class WordOracle:
         """Build the next sphere from the last one (see the module docstring)."""
         rank = self.rank
         partners = self._partners
-        words, descents, table, index = self._words, self._descents, self._table, self._index
+        last, descents, table = self._last, self._descents, self._table
         for w in range(self._starts[-2], self._starts[-1]):
             dw = descents[w]
             row = w * rank
@@ -106,14 +119,12 @@ class WordOracle:
                         mask |= 1 << t
                         down[t] = x
                 if v < 0:
-                    v = len(words)
-                    word = words[w] + (s,)
-                    words.append(word)
+                    v = len(descents)
+                    last.append(s)
                     descents.append(mask)
-                    index[word] = v
                     table += down
                 table[row + s] = v
-        self._starts.append(len(words))
+        self._starts.append(len(descents))
         if self._starts[-1] == self._starts[-2]:
             self._exhausted = True
 
@@ -130,13 +141,35 @@ class WordOracle:
 
     def _id(self, word) -> int:
         """Id of the element a word spells; the word need not be reduced."""
-        word = tuple(word)
-        i = self._index.get(word)
-        if i is None:
-            i = 0
-            for s in word:
-                i = self._times(i, s)
+        i = 0
+        for s in word:
+            i = self._times(i, s)
         return i
+
+    # -- ids -------------------------------------------------------------------
+
+    def sphere_ids(self, k: int) -> range:
+        """Ids of the elements of length exactly k, in ShortLex order."""
+        while len(self._starts) <= k + 1 and not self._exhausted:
+            self._extend()
+        if k + 1 < len(self._starts):
+            return range(self._starts[k], self._starts[k + 1])
+        return range(0)
+
+    def word(self, i: int) -> Word:
+        """Canonical word of element i, rebuilt along its parent chain."""
+        rank, last, table = self.rank, self._last, self._table
+        letters = []
+        while i:
+            s = last[i]
+            letters.append(s)
+            i = table[i * rank + s]
+        letters.reverse()
+        return tuple(letters)
+
+    def descents(self, i: int) -> Mask:
+        """Right descent mask of element i."""
+        return self._descents[i]
 
     # -- braid classes and normal forms ------------------------------------
 
@@ -175,7 +208,7 @@ class WordOracle:
 
     def canonical(self, word) -> Word:
         """ShortLex-least reduced word of the element the word spells."""
-        return self._words[self._id(word)]
+        return self.word(self._id(word))
 
     def descent_mask(self, word) -> Mask:
         """Right descents: generators ending some reduced word of the element."""
@@ -183,30 +216,22 @@ class WordOracle:
 
     def right_multiply(self, word, s: int) -> Word:
         """Canonical word of w*s, in either length direction."""
-        return self._words[self._times(self._id(word), s)]
+        return self.word(self._times(self._id(word), s))
 
     # -- sphere enumeration --------------------------------------------------
 
     def sphere(self, k: int) -> list:
         """Canonical words of length exactly k, sorted."""
-        while len(self._starts) <= k + 1 and not self._exhausted:
-            self._extend()
-        if k + 1 < len(self._starts):
-            return self._words[self._starts[k]:self._starts[k + 1]]
-        return []
+        return [self.word(i) for i in self.sphere_ids(k)]
 
     def sphere_sizes(self, horizon: int) -> list:
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        return [len(self.sphere(k)) for k in range(horizon + 1)]
+        return [len(self.sphere_ids(k)) for k in range(horizon + 1)]
 
     def ball(self, horizon: int) -> dict:
         """Canonical word -> length, for all elements of length <= horizon."""
-        out = {}
-        for k in range(horizon + 1):
-            for w in self.sphere(k):
-                out[w] = k
-        return out
+        return {self.word(i): k for k in range(horizon + 1) for i in self.sphere_ids(k)}
 
     def full_histogram(self, limit: int = 64) -> list:
         """Sphere sizes of a finite group, enumerated to exhaustion.
@@ -215,10 +240,10 @@ class WordOracle:
         """
         sizes = []
         for k in range(limit + 1):
-            layer = self.sphere(k)
-            if not layer:
+            size = len(self.sphere_ids(k))
+            if not size:
                 return sizes
-            sizes.append(len(layer))
+            sizes.append(size)
         raise OracleHorizonError(f"group not exhausted within length {limit}")
 
     def subgroup_elements(self, subset: Mask) -> list:
@@ -241,7 +266,7 @@ class WordOracle:
                     if not (d >> s) & 1:
                         new.add(self._times(i, s))
             layer = sorted(new)      # ids are in ShortLex order
-            members.extend(self._words[i] for i in layer)
+            members.extend(self.word(i) for i in layer)
         return members
 
 
@@ -264,6 +289,34 @@ class CosetReport:
         return not self.violations
 
 
+def _coset_pieces(oracle: WordOracle, horizon: int, subset: Mask) -> list:
+    """Component number of every id of the length-``horizon`` ball, whose ids
+    are 0, 1, ...; see :func:`coset_components`."""
+    sizes = oracle.sphere_sizes(horizon)
+    size = sum(sizes)
+    inner = size - sizes[-1]          # the ids of length below the horizon
+    gens = bits_of(subset)
+    comp = [-1] * size
+    next_id = 0
+    for start in range(size):
+        if comp[start] >= 0:
+            continue
+        stack = [start]
+        comp[start] = next_id
+        while stack:
+            i = stack.pop()
+            d = oracle.descents(i)
+            for s in gens:
+                # an ascent from the horizon leaves the ball: never multiply past it
+                if i < inner or (d >> s) & 1:
+                    j = oracle._times(i, s)
+                    if comp[j] < 0:
+                        comp[j] = next_id
+                        stack.append(j)
+        next_id += 1
+    return comp
+
+
 def coset_components(oracle: WordOracle, ball: dict, subset: Mask) -> dict:
     """Partition a ball into connected pieces of right cosets w * W_subset.
 
@@ -272,27 +325,8 @@ def coset_components(oracle: WordOracle, ball: dict, subset: Mask) -> dict:
     element of its coset is the whole coset (cosets are connected under these
     moves); pieces cut by the horizon are proper subsets.
     """
-    comp = {}
-    gens = bits_of(subset)
-    horizon = max(ball.values(), default=0)
-    next_id = 0
-    for start in ball:
-        if start in comp:
-            continue
-        stack = [start]
-        comp[start] = next_id
-        while stack:
-            w = stack.pop()
-            d = oracle.descent_mask(w)
-            for s in gens:
-                # an ascent from the horizon leaves the ball: never multiply past it
-                if len(w) < horizon or (d >> s) & 1:
-                    v = oracle.right_multiply(w, s)
-                    if v not in comp:
-                        comp[v] = next_id
-                        stack.append(v)
-        next_id += 1
-    return comp
+    comp = _coset_pieces(oracle, max(ball.values(), default=0), subset)
+    return {oracle.word(i): c for i, c in enumerate(comp)}
 
 
 def coset_decomposition_check(matrix: CoxeterMatrix, subset: Mask, horizon: int,
@@ -347,72 +381,232 @@ def coset_decomposition_check(matrix: CoxeterMatrix, subset: Mask, horizon: int,
 
 
 # ---------------------------------------------------------------------------
-# numeric cross-check: the reflection representation in floating point
+# exact cross-check: the contragredient action on the Tits cone
 # ---------------------------------------------------------------------------
 
-class GeometricOracle:
-    """BFS over the standard reflection representation, double precision.
+def _chebyshev_next(cur: list, prev: list) -> list:
+    """D_{j+1} = c*D_j - D_{j-1}, for coefficient lists in c."""
+    out = [0] + cur
+    for i, v in enumerate(prev):
+        out[i] -= v
+    return out
 
-    The bilinear form has B(a_s, a_t) = -cos(pi / m(s, t)), with -1 for pairs
-    with no relation.  A generator s is a right descent of w exactly when the
-    column w(a_s) has all coordinates <= 0 (tolerance 1e-8).  Deduplication
-    rounds matrix entries, which is safe at the short lengths this oracle is
-    meant for.  numpy is imported here rather than with the package, so the
-    commands that never cross-check do not load it.
+
+def _minimal_polynomial(big_m: int) -> list:
+    """Coefficients, constant term first, of the minimal polynomial P of
+    c = 2cos(pi/M), M >= 2.
+
+    z = exp(i pi/M) is a primitive 2M-th root of unity with c = z + 1/z, and
+    Phi_2M is palindromic of degree 2d, so Phi_2M(z) / z^d is
+    a_0 + sum_{j=1..d} a_j (z^j + z^-j), where z^j + z^-j = D_j(c) for
+    D_0 = 2, D_1 = c, D_j = c*D_{j-1} - D_{j-2}.  P is monic of degree
+    d = phi(2M)/2, the degree of Q(c) over Q.
+    """
+    phi = _cyclotomic(2 * big_m, {}).coeffs
+    d = (len(phi) - 1) // 2
+    out = [phi[d]] + [0] * d
+    prev, cur = [2], [0, 1]
+    for j in range(1, d + 1):
+        for i, v in enumerate(cur):
+            out[i] += phi[d + j] * v
+        prev, cur = cur, _chebyshev_next(cur, prev)
+    return out
+
+
+def _scaled_value(coeffs: list, num: int, k: int) -> int:
+    """2^(k*deg) * p(num / 2^k): an integer with the sign of p there (Horner)."""
+    acc = 0
+    for i, a in enumerate(reversed(coeffs)):
+        acc = acc * num + (a << k * i)
+    return acc
+
+
+class _CosineRing:
+    """Z[c] for c = 2cos(pi/M), M >= 4, with exact signs.
+
+    An element is the tuple of its d = deg P integer coordinates on 1, c,
+    ..., c^(d-1), reduced modulo the minimal polynomial P.  The roots of P
+    are the 2cos(j pi/M) with j prime to 2M, so c is the largest, and a
+    rational x lies above c exactly when P and all its derivatives are
+    positive at x: then P(x + h) = sum_j P^(j)(x) h^j / j! > 0 for all
+    h >= 0; and above c every derivative is positive, because by Rolle the
+    roots of each derivative of the real-rooted P lie below c.  The bracket
+    (lo, lo + 1) / 2^k of c starts at (1, 2) (c >= 2cos(pi/4) > 1) and is
+    halved by that test (once it is narrower than the gap from c to the next
+    root, P changes sign across it); a sign that interval evaluation on the
+    bracket cannot decide halves it again.  That ends, because a nonzero
+    element of Z[c] is a nonzero real number.
     """
 
-    def __init__(self, matrix: CoxeterMatrix, tol: float = 1e-8):
-        import numpy as np
+    INITIAL_BITS = 32       # bracket width 2^-32 before any sign is asked for
 
+    def __init__(self, big_m: int):
+        self.big_m = big_m
+        self.poly = _minimal_polynomial(big_m)
+        self.degree = len(self.poly) - 1
+        derivatives = [self.poly]
+        while len(derivatives[-1]) > 1:
+            derivatives.append([i * a for i, a in enumerate(derivatives[-1])][1:])
+        self._derivatives = derivatives
+        self._k, self._lo = 0, 1
+        while self._k < self.INITIAL_BITS:
+            self._refine()
+
+    @property
+    def bracket(self) -> tuple:
+        """(lo numerator, hi numerator, k): lo / 2^k < c < hi / 2^k."""
+        return self._lo, self._lo + 1, self._k
+
+    def _refine(self):
+        """Halve the bracket, keeping the half that holds c."""
+        k, mid = self._k + 1, 2 * self._lo + 1
+        above = all(_scaled_value(p, mid, k) > 0 for p in self._derivatives)
+        self._k, self._lo = k, 2 * self._lo if above else mid
+        d = self.degree
+        lo, hi = self._lo, self._lo + 1
+        # c^i on the bracket, all scaled by 2^(k*(d-1))
+        self._lows = [lo ** i << k * (d - 1 - i) for i in range(d)]
+        self._highs = [hi ** i << k * (d - 1 - i) for i in range(d)]
+
+    def reduce(self, coeffs) -> tuple:
+        """The element with the given coefficients on 1, c, c^2, ..."""
+        rem = list(coeffs)
+        d, poly = self.degree, self.poly
+        for top in range(len(rem) - 1, d - 1, -1):
+            a = rem[top]
+            if a:
+                for i, p in enumerate(poly):
+                    rem[top - d + i] -= a * p
+        return tuple(rem[:d]) + (0,) * (d - len(rem))
+
+    def cosine(self, m: int) -> tuple:
+        """2cos(pi/m) = D_{M/m}(c), for m dividing M."""
+        prev, cur = [2], [0, 1]
+        for _ in range(self.big_m // m - 1):
+            prev, cur = cur, _chebyshev_next(cur, prev)
+        return self.reduce(cur)
+
+    def times(self, a) -> list:
+        """Multiplication by a as sparse rows: row i lists (j, entry) with
+        coordinate i of a*y = sum of entry * y_j."""
+        d = self.degree
+        cols = [self.reduce([0] * j + list(a)) for j in range(d)]
+        return [[(j, col[i]) for j, col in enumerate(cols) if col[i]] for i in range(d)]
+
+    def sign(self, a) -> int:
+        """Sign of a nonzero element (+1 or -1)."""
+        if min(a) >= 0:
+            if max(a) > 0:
+                return 1             # c > 0
+        elif max(a) <= 0:
+            return -1
+        if not any(a):
+            raise ValueError("zero has no sign")
+        while True:
+            low = high = 0
+            for v, lo, hi in zip(a, self._lows, self._highs):
+                if v > 0:
+                    low += v * lo
+                    high += v * hi
+                elif v < 0:
+                    low += v * hi
+                    high += v * lo
+            if low > 0:
+                return 1
+            if high < 0:
+                return -1
+            self._refine()
+
+
+class GeometricOracle:
+    """Breadth-first search over the contragredient action, in exact arithmetic.
+
+    Element w is the vector y = w^-1 x, x = (1, ..., 1), in the coordinates
+    y_t = <y, alpha_t> (see the module docstring).  Right multiplication by
+    s maps y to s y: y_t += c_st y_s for t != s, then y_s = -y_s, where
+    c_st = 2cos(pi/m(s, t)) is 0, 1 or 2 for m = 2, 3 or inf, and otherwise
+    an element of Z[c] (:class:`_CosineRing`), each coordinate then being d
+    consecutive integers.  x lies inside the fundamental chamber, so distinct
+    elements have distinct vectors and deduplication compares exact tuples.
+    The descents of w are the s with y_s < 0, so BFS steps only along
+    ascents, and a new element can coincide only with one of its own layer.
+    """
+
+    def __init__(self, matrix: CoxeterMatrix):
         self.matrix = matrix
-        self.rank = matrix.rank
-        self.tol = tol
-        n = self.rank
-        form = np.ones((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                m = matrix.orders[i][j]
-                form[i, j] = -1.0 if m is INFINITY else -cos(pi / m)
-        self.form = form
-        self.gens = []
+        self.rank = n = matrix.rank
+        orders = matrix.orders
+        big = {m for row in orders for m in row if m is not INFINITY and m >= 4}
+        self.ring = ring = _CosineRing(lcm(*big)) if big else None
+        d = ring.degree if ring else 1
+        self._couplings = []          # per s: (t, c_st) with c_st != 0
         for s in range(n):
-            g = np.eye(n)
-            g[s, :] -= 2.0 * form[s, :]
-            self.gens.append(g)
+            row = []
+            for t in range(n):
+                m = orders[s][t]
+                if t == s or m == 2:
+                    continue
+                # an int, or the rows of multiplication by 2cos(pi/m) in Z[c]
+                row.append((t, 2 if m is INFINITY else 1 if m == 3
+                            else ring.times(ring.cosine(m))))
+            self._couplings.append(row)
+        self._identity = ((1,) + (0,) * (d - 1)) * n
 
-    def _key(self, mat):
-        # adding 0.0 folds -0.0 into +0.0, which tobytes() would distinguish
-        return (mat.round(6) + 0.0).tobytes()
+    def _step(self, y: tuple, s: int) -> tuple:
+        out = list(y)
+        if self.ring is None:
+            v = y[s]
+            for t, c in self._couplings[s]:
+                out[t] += c * v
+            out[s] = -v
+            return tuple(out)
+        d = self.ring.degree
+        v = y[s * d:(s + 1) * d]
+        for t, c in self._couplings[s]:
+            base = t * d
+            if c.__class__ is int:
+                for i in range(d):
+                    out[base + i] += c * v[i]
+            else:
+                for i, row in enumerate(c, base):
+                    for j, e in row:
+                        out[i] += e * v[j]
+        out[s * d:(s + 1) * d] = [-x for x in v]
+        return tuple(out)
 
-    def descent_mask(self, mat) -> Mask:
-        d = 0
-        for s, top in enumerate(mat.max(axis=0).tolist()):
-            if top <= self.tol:
-                d |= 1 << s
-        return d
+    def _mask(self, y: tuple) -> Mask:
+        if self.ring is None:
+            return sum(1 << t for t, v in enumerate(y) if v < 0)
+        d, sign = self.ring.degree, self.ring.sign
+        mask = 0
+        for t in range(self.rank):
+            v = y[t * d:(t + 1) * d]
+            if min(v) < 0 and sign(v) < 0:      # no negative coordinate: positive
+                mask |= 1 << t
+        return mask
 
     def layers(self, horizon: int) -> list:
-        """Per-length lists of (matrix, witness word) pairs, up to the horizon."""
-        import numpy as np
+        """Per-length lists of (parent, letter, descent mask), up to the horizon.
 
-        identity = np.eye(self.rank)
-        seen = {self._key(identity)}
-        out = [[(identity, ())]]
+        Entry i of layer k + 1 is entry ``parent`` of layer k times the
+        generator ``letter``; layer 0 holds the identity as (None, None, 0).
+        Layers past the end of a finite group are empty.
+        """
+        frontier = [self._identity]
+        out = [[(None, None, 0)]]
         for _ in range(horizon):
-            layer = []
-            for mat, word in out[-1]:
-                d = self.descent_mask(mat)
+            layer, nxt, seen = [], [], set()
+            for p, (y, (_, _, d)) in enumerate(zip(frontier, out[-1])):
                 for s in range(self.rank):
-                    if (d >> s) & 1:
+                    if d >> s & 1:
                         continue
-                    child = mat @ self.gens[s]
-                    key = self._key(child)
-                    if key not in seen:
-                        seen.add(key)
-                        layer.append((child, word + (s,)))
+                    child = self._step(y, s)
+                    if child not in seen:
+                        seen.add(child)
+                        nxt.append(child)
+                        layer.append((p, s, self._mask(child)))
             out.append(layer)
+            frontier = nxt
             if not layer:
                 break
         while len(out) <= horizon:
@@ -425,7 +619,7 @@ class GeometricOracle:
 
 @dataclass
 class CrossCheckReport:
-    """Agreement between the word oracle and the numeric representation."""
+    """Agreement between the word oracle and the Tits-cone representation."""
 
     horizon: int
     symbolic_sizes: list
@@ -439,20 +633,25 @@ class CrossCheckReport:
 
 def cross_check_oracles(matrix: CoxeterMatrix, horizon: int,
                         oracle: WordOracle = None) -> CrossCheckReport:
-    """Compare sphere sizes and per-element descent sets between the two oracles."""
+    """Compare sphere sizes and per-element descent sets between the two oracles.
+
+    Each element of the geometric BFS is matched with the word oracle's
+    element spelled by the same letters; a mismatch is recorded as
+    (canonical word, word-oracle mask, geometric mask).
+    """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if oracle is None:
         oracle = WordOracle(matrix)
-    geo = GeometricOracle(matrix)
-    layers = geo.layers(horizon)
+    layers = GeometricOracle(matrix).layers(horizon)
     mismatches = []
-    for k, layer in enumerate(layers):
-        for mat, word in layer:
-            numeric = geo.descent_mask(mat)
-            symbolic = oracle.descent_mask(word)
+    ids = []
+    for layer in layers:
+        ids = [0 if p is None else oracle._times(ids[p], s) for p, s, _ in layer]
+        for i, (_, _, numeric) in zip(ids, layer):
+            symbolic = oracle.descents(i)
             if numeric != symbolic:
-                mismatches.append((word, symbolic, numeric))
+                mismatches.append((oracle.word(i), symbolic, numeric))
     return CrossCheckReport(
         horizon=horizon,
         symbolic_sizes=oracle.sphere_sizes(horizon),

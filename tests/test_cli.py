@@ -198,11 +198,16 @@ def test_schema_is_draft7_valid():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy serves only the --cross-check oracle; it is imported there
+    # no command needs numpy: not the import, and not the exact --cross-check
     src = str(Path(coxgrowth.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, coxgrowth.cli; print('numpy' in sys.modules)"
+    argv = ["oracle", f"{SYS}/b3.cox", "--max-length", "6", "--cross-check"]
+    code = ("import contextlib, io, sys, coxgrowth.cli\n"
+            "print('numpy' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as report:\n"
+            f"    rc = coxgrowth.cli.main({argv!r})\n"
+            "print('numpy' in sys.modules, rc, report.getvalue().splitlines()[-1])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "False"
+    assert out.splitlines() == ["False", "False 0 result: PASS"]

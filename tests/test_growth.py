@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from coxgrowth import (ENTRIES, INFINITY, InvariantViolation, WordOracle,
                        classify, get, growth_series, growth_table,
-                       nerve_coefficient, nerve_link, spherical_subsets,
+                       nerve_coefficient, nerve_coefficients, nerve_link,
+                       spherical_subsets,
                        verify_identities, verify_identity)
 from coxgrowth import growth
 from coxgrowth.coxeter import coxeter_matrix, submasks
@@ -86,6 +87,39 @@ def test_nerve_coefficient_rejects_nonspherical():
     m = get("inf-dihedral").matrix
     with pytest.raises(ValueError):
         nerve_coefficient(m, 0b11)
+
+
+def _nerve_coefficient_by_definition(matrix, subset):
+    # the definitional sum over spherical supersets, O(|Sph|) per subset
+    return sum(-1 if u.bit_count() & 1 else 1
+               for u in spherical_subsets(matrix) if u & subset == subset)
+
+
+def _assert_nerve_coefficients_match(matrix):
+    chis = nerve_coefficients(matrix)
+    assert list(chis) == list(spherical_subsets(matrix))
+    for t, chi in chis.items():
+        assert chi == _nerve_coefficient_by_definition(matrix, t), (matrix, t)
+        assert nerve_coefficient(matrix, t) == chi
+
+
+def test_nerve_coefficients_match_definition_on_catalog():
+    for entry in ENTRIES:
+        _assert_nerve_coefficients_match(entry.matrix)
+
+
+@st.composite
+def systems_up_to_rank_6(draw):
+    rank = draw(st.integers(min_value=1, max_value=6))
+    pairs = {(i, j): draw(st.sampled_from([2, 2, 3, 3, 4, 5, 6, INFINITY]))
+             for i in range(rank) for j in range(i + 1, rank)}
+    return coxeter_matrix(rank, pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_up_to_rank_6())
+def test_nerve_coefficients_match_definition_on_random_systems(matrix):
+    _assert_nerve_coefficients_match(matrix)
 
 
 def test_nerve_link_euler():
