@@ -16,8 +16,8 @@ them, is N_T / L for an integer polynomial N_T and the one denominator
     L = prod_k Phi_k^{e_k},   e_k = max over spherical T of #{degrees of T divisible by k},
 
 built per table from the classifier's degree tuples.  The recursion then
-adds plain integer coefficient vectors (no gcd anywhere): an infinite entry
-is N_T = (-1)^{|T|+1} * acc with acc = L * S(T), and a finite entry is
+adds integer coefficient vectors (no gcd anywhere): an infinite entry is
+N_T = (-1)^{|T|+1} * acc with acc = L * S(T), and a finite entry is
 N_T = acc / (t^m - (-1)^{|T|}) followed by W_T = L / N_T.  Both divisions
 must be exact in Z[t] and W_T must have degree m; a zero acc, an inexact
 division or a wrong degree is structurally impossible and raises
@@ -30,8 +30,31 @@ divide-and-conquer over the bits: a block of masks sharing their high bits
 is solved as its lower half (next bit clear), whose subset sums are then
 added into the upper half before it is solved, and each block hands its
 own subset sums back up.  That is n * 2^n vector additions in place of one
-per (subset, proper subset) pair, 3^n.  ``series(T)`` canonicalises one
-entry, once, when it is asked for.
+per (subset, proper subset) pair, 3^n.
+
+Packed numerators.  Each coefficient vector is held as one Python int, its
+value at t = 2^k (Kronecker substitution; k = 64 bits to start), so every
+vector addition of the recursion is one bignum addition.  Decoding the
+balanced base-2^k digits is exact only while every |coefficient| is below
+2^(k-1), so each entry carries a proven bound: the exact max |coefficient|
+of a decoded finite numerator, and the sum of the bounds for every sum.  The
+bound is checked before every decode and every zero test; a table whose
+bounds outgrow the digits is rebuilt at twice the width, and no entry is
+read from a digit that may have overflowed.  The identity sums add packed
+terms in runs whose bounds fit and decode each run.
+
+One division per distinct numerator.  Subsets of the same finite type have
+the same acc, so a finite entry's decode, its two exact divisions and its
+re-packing are memoised on (acc, m, (-1)^{|T|}) in a dict the table owns:
+the same input gives the same verdict, and the degree-m test still runs on
+every entry.  A_16 needs 296 such divisions for its 65 536 entries.
+
+Canonical forms without a gcd.  gcd(p, L) = prod_k Phi_k^{min(e_k, v_k)},
+v_k the multiplicity of Phi_k in p, so trial division by L's own factors
+cancels it (:func:`~coxgrowth.ratfunc.cancel_factors`), and the coprime
+pair needs only content and sign normalised.  ``series(T)`` of an infinite
+T and both sides of every identity are reduced this way; ``series(T)``
+canonicalises one entry, once, when it is asked for.
 
 ``verify_identity`` re-assembles both sides of four classical identities
 from the finished table (S below is the full generator set, Sph the family
@@ -54,13 +77,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
-from .classify import classify, spherical_subsets
+from .classify import classify, classify_all, spherical_subsets
 from .coxeter import CoxeterMatrix, Mask
-from .ratfunc import P_ONE, Poly, RatFunc, RF_ZERO, format_ratfunc, substitute_inverse
+from .ratfunc import (P_ONE, Poly, RatFunc, RF_ZERO, cancel_factors, format_ratfunc,
+                      substitute_inverse)
+
+# Bytes per packed coefficient of a new table; a table whose bounds outgrow
+# them is rebuilt at twice the width.
+_DIGIT_BYTES = 8
 
 
 class InvariantViolation(RuntimeError):
     """The growth recursion produced something structurally impossible."""
+
+
+class _Overflow(ArithmeticError):
+    """A coefficient bound does not fit the digits of a packing."""
 
 
 def _sign(k: int) -> int:
@@ -78,8 +110,9 @@ def _cyclotomic(k: int, known: dict) -> Poly:
     return known[k]
 
 
-def _common_denominator(degree_tuples) -> Poly:
-    """L = prod_k Phi_k^{e_k}: the least common multiple of the prod_i [d_i]_t."""
+def _cyclotomic_factors(degree_tuples) -> list:
+    """The factors (Phi_k, e_k) of L, k ascending, with
+    e_k = max over the tuples of #{degrees divisible by k}."""
     exponents = {}
     for degrees in degree_tuples:
         counts = {}
@@ -90,16 +123,16 @@ def _common_denominator(degree_tuples) -> Poly:
         for k, c in counts.items():
             exponents[k] = max(exponents.get(k, 0), c)
     known = {}
+    return [(_cyclotomic(k, known), exponents[k]) for k in sorted(exponents)]
+
+
+def _common_denominator(degree_tuples) -> Poly:
+    """L = prod_k Phi_k^{e_k}: the least common multiple of the prod_i [d_i]_t."""
     out = P_ONE
-    for k in sorted(exponents):
-        phi = _cyclotomic(k, known)
-        for _ in range(exponents[k]):
+    for phi, e in _cyclotomic_factors(degree_tuples):
+        for _ in range(e):
             out = out * phi
     return out
-
-
-def _add(a: list, b: list) -> list:
-    return [x + y for x, y in zip(a, b)]
 
 
 def _divide_binomial(acc: list, m: int, sign: int):
@@ -114,71 +147,168 @@ def _divide_binomial(acc: list, m: int, sign: int):
     return None if any(rem[:m]) else quot
 
 
+class _Packing:
+    """Coefficient lists of one length as single ints (Kronecker substitution).
+
+    The list c packs to sum_i c_i 2^(8 w i), its value at t = 2^(8 w) for
+    ``w`` bytes per digit.  Packing is additive, so sums of packed values are
+    exact; decoding the balanced digits is exact, and a packed value is 0
+    exactly when the list is, as long as every |c_i| < 2^(8 w - 1).  Callers
+    carry a bound on max |c_i| with each value, and :meth:`check` raises
+    :class:`_Overflow` before a decode or zero test that it does not cover.
+    """
+
+    def __init__(self, count: int, width: int):
+        self.count = count
+        self.width = width
+        self.half = 1 << (8 * width - 1)
+        self.offset = int.from_bytes(self.half.to_bytes(width, "little") * count, "little")
+
+    def check(self, bound: int):
+        if bound >= self.half:
+            raise _Overflow(f"coefficient bound {bound} exceeds {8 * self.width}-bit "
+                            f"balanced digits")
+
+    def pack(self, coeffs: list) -> tuple:
+        """(packed value, max |c|) of a list of ``count`` coefficients."""
+        bound = max(map(abs, coeffs))
+        self.check(bound)
+        half, width = self.half, self.width
+        raw = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+        return int.from_bytes(raw, "little") - self.offset, bound
+
+    def unpack(self, value: int, bound: int) -> list:
+        """The coefficient list of a packed value whose coefficients are bounded by ``bound``."""
+        self.check(bound)
+        raw = (value + self.offset).to_bytes(self.count * self.width, "little")
+        half, width = self.half, self.width
+        return [int.from_bytes(raw[i:i + width], "little") - half
+                for i in range(0, len(raw), width)]
+
+
 class GrowthTable:
     """Growth series of every standard parabolic subgroup of one system.
 
     ``denominator`` is the common denominator L; entry T is held as the
-    signed numerator (-1)^{|T|} N_T of 1/W_T = N_T / L, a coefficient list
-    of length deg L + 1.
+    signed numerator (-1)^{|T|} N_T of 1/W_T = N_T / L, packed into one int,
+    together with a bound on its coefficients.
     """
 
     def __init__(self, matrix: CoxeterMatrix):
         self.matrix = matrix
-        infos = [classify(matrix, T) for T in range(1 << matrix.rank)]
-        self.denominator = _common_denominator({i.degrees for i in infos if i.finite})
-        self._signed = [None] * len(infos)
-        self._polynomials = {0: P_ONE}    # W_T of every finite T
-        self._series = {}
-        width = len(self.denominator.coeffs)
-        self._block(0, matrix.rank, [[0] * width] * len(infos), infos)
+        infos = classify_all(matrix)[0]
+        degrees = {i.degrees for i in infos if i.finite}
+        self.denominator = _common_denominator(degrees)
+        self._factors = _cyclotomic_factors(degrees)
+        width = _DIGIT_BYTES
+        while True:
+            try:
+                self._build(infos, _Packing(len(self.denominator.coeffs), width))
+                return
+            except _Overflow:
+                width *= 2
 
-    def _block(self, base: Mask, k: int, incoming: list, infos: list) -> list:
-        """Solve the masks base | x, x < 2^k, and return their subset sums.
+    def _build(self, infos, packing: _Packing):
+        self._packing = packing
+        self._signed = [None] * len(infos)     # packed signed numerators
+        self._bounds = [None] * len(infos)     # a bound on each one's coefficients
+        self._polynomials = {0: P_ONE}         # W_T of every finite T
+        self._series = {}
+        self._checked = {}                     # (acc, m, sign) -> finite entry
+        zeros = [0] * len(infos)
+        self._block(0, self.matrix.rank, zeros, zeros, infos)
+
+    def _block(self, base: Mask, k: int, incoming: list, bounds: list, infos: list) -> tuple:
+        """Solve the masks base | x, x < 2^k, and return their subset sums and bounds.
 
         ``incoming[x]`` is the sum of the signed numerators of the subsets of
-        base | x that lie outside the block; the result's entry x is the sum
-        over the subsets of base | x inside it.
+        base | x that lie outside the block, and ``bounds[x]`` bounds its
+        coefficients; the result's entry x is the sum over the subsets of
+        base | x inside it.
         """
         if k == 0:
-            self._signed[base] = self._solve(base, incoming[0], infos[base])
-            return [self._signed[base]]
+            self._solve(base, incoming[0], bounds[0], infos[base])
+            return [self._signed[base]], [self._bounds[base]]
         half = 1 << (k - 1)
-        low = self._block(base, k - 1, incoming[:half], infos)
-        high = self._block(base | half, k - 1,
-                           list(map(_add, incoming[half:], low)), infos)
-        return low + list(map(_add, low, high))
+        low, low_bounds = self._block(base, k - 1, incoming[:half], bounds[:half], infos)
+        high, high_bounds = self._block(base | half, k - 1,
+                                        list(map(add, incoming[half:], low)),
+                                        list(map(add, bounds[half:], low_bounds)), infos)
+        return (low + list(map(add, low, high)),
+                low_bounds + list(map(add, low_bounds, high_bounds)))
 
-    def _solve(self, subset: Mask, acc: list, info) -> list:
-        """Signed numerator of one entry from the sum ``acc`` over its proper subsets."""
+    def _solve(self, subset: Mask, acc: int, bound: int, info):
+        """Signed numerator of one entry from the packed sum ``acc`` over its proper subsets."""
         if subset == 0:
-            return list(self.denominator.coeffs)
-        sign = _sign(subset.bit_count())
+            self._signed[0], self._bounds[0] = self._packing.pack(self.denominator.coeffs)
+            return
+        self._packing.check(bound)
         if not info.finite:
-            if not any(acc):
+            if not acc:
                 raise InvariantViolation(
                     f"zero reciprocal series at infinite subset {subset:#x}")
-            return [-c for c in acc]
-        if not any(acc):
+            self._signed[subset], self._bounds[subset] = -acc, bound
+            return
+        if not acc:
             raise InvariantViolation(
                 f"zero alternating sum below finite subset {subset:#x}")
         m = info.longest_length
-        numerator = _divide_binomial(acc, m, sign)
-        series = None
-        if numerator is not None:
-            try:
-                series = self.denominator.exact_div(Poly(numerator))
-            except ValueError:
-                pass
+        sign = _sign(subset.bit_count())
+        key = (acc, m, sign)
+        if key not in self._checked:
+            self._checked[key] = self._divide(acc, m, sign, bound)
+        signed, entry_bound, series = self._checked[key]
         if series is None or series.degree != m:
             raise InvariantViolation(
                 f"finite subset {subset:#x} did not produce a degree-{m} polynomial")
         self._polynomials[subset] = series
-        return numerator if sign > 0 else [-c for c in numerator]
+        self._signed[subset], self._bounds[subset] = signed, entry_bound
+
+    def _divide(self, acc: int, m: int, sign: int, bound: int) -> tuple:
+        """(signed numerator, its bound, W_T) of a finite entry with sum ``acc``,
+        or Nones when N_T = acc / (t^m - sign) or W_T = L / N_T is not exact."""
+        numerator = _divide_binomial(self._packing.unpack(acc, bound), m, sign)
+        if numerator is None:
+            return None, None, None
+        try:
+            series = self.denominator.exact_div(Poly(numerator))
+        except ValueError:
+            return None, None, None
+        if sign < 0:
+            numerator = [-c for c in numerator]
+        return (*self._packing.pack(numerator), series)
 
     def _numerator(self, subset: Mask) -> Poly:
         """N_T, with 1 / W_T = N_T / L."""
         sign = _sign(subset.bit_count())
-        return Poly(c * sign for c in self._signed[subset])
+        coeffs = self._packing.unpack(self._signed[subset], self._bounds[subset])
+        return Poly(c * sign for c in coeffs)
+
+    def _sum(self, weights) -> Poly:
+        """sum of w * (-1)^{|T|} N_T over the pairs (T, w) of ``weights``.
+
+        Terms are added packed while the sum of their bounds fits a digit,
+        and each such run is decoded into the total.
+        """
+        packing = self._packing
+        total = [0] * packing.count
+        run, run_bound = 0, 0
+        for subset, w in weights:
+            value, bound = w * self._signed[subset], abs(w) * self._bounds[subset]
+            if run_bound + bound >= packing.half:
+                total = list(map(add, total, packing.unpack(run, run_bound)))
+                run, run_bound = 0, 0
+                if bound >= packing.half:
+                    total = list(map(add, total, (w * c for c in packing.unpack(
+                        self._signed[subset], self._bounds[subset]))))
+                    continue
+            run += value
+            run_bound += bound
+        return Poly(map(add, total, packing.unpack(run, run_bound)))
+
+    def _over_denominator(self, numerator: Poly) -> RatFunc:
+        """numerator / L, canonical: gcd(numerator, L) is found among L's factors."""
+        return RatFunc.from_coprime(*cancel_factors(numerator, self._factors))
 
     def series(self, subset: Mask = None) -> RatFunc:
         if subset is None:
@@ -187,9 +317,10 @@ class GrowthTable:
             raise ValueError("subset is not within the generator set")
         if subset not in self._series:
             if subset in self._polynomials:
-                self._series[subset] = RatFunc(self._polynomials[subset])
+                self._series[subset] = RatFunc.from_coprime(self._polynomials[subset], P_ONE)
             else:
-                self._series[subset] = RatFunc(self.denominator, self._numerator(subset))
+                numerator, denominator = cancel_factors(self._numerator(subset), self._factors)
+                self._series[subset] = RatFunc.from_coprime(denominator, numerator)
         return self._series[subset]
 
 
@@ -294,34 +425,26 @@ def verify_identity(matrix: CoxeterMatrix, which: int) -> IdentityReport:
     table = growth_table(matrix)
     full = matrix.full_mask
     info = classify(matrix, full)
-    signed = table._signed
-
-    def over_denominator(terms):
-        total = [0] * len(table.denominator.coeffs)
-        for term in terms:
-            total = _add(total, term)
-        return RatFunc(Poly(total), table.denominator)
 
     if which in (1, 2):
         want_finite = (which == 2)
         if info.finite != want_finite:
             note = ("the group is finite" if info.finite else "the group is infinite")
             return IdentityReport(which, False, None, False, None, None, note)
-        lhs = over_denominator(signed)
+        lhs = table._over_denominator(table._sum((T, 1) for T in range(full + 1)))
         if which == 1:
             rhs = RF_ZERO
         else:
-            rhs = RatFunc(table._numerator(full).shifted(info.longest_length),
-                          table.denominator)
+            rhs = table._over_denominator(table._numerator(full).shifted(info.longest_length))
         return IdentityReport(which, True, lhs == rhs, True, lhs, rhs,
                               "inverted to build the full-group entry")
 
     if which == 3:
-        lhs = over_denominator([c * chi for c in signed[T]]
-                               for T, chi in nerve_coefficients(matrix).items())
+        lhs = table._sum(nerve_coefficients(matrix).items())
     else:
-        lhs = over_denominator(signed[T] for T in spherical_subsets(matrix))
-    reciprocal = RatFunc(table._numerator(full), table.denominator)
+        lhs = table._sum((T, 1) for T in spherical_subsets(matrix))
+    lhs = table._over_denominator(lhs)
+    reciprocal = table._over_denominator(table._numerator(full))
     rhs = reciprocal if which == 3 else substitute_inverse(reciprocal)
     return IdentityReport(which, True, lhs == rhs, False, lhs, rhs)
 

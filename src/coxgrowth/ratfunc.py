@@ -9,7 +9,12 @@ are always held in canonical form:
 * the lowest-order nonzero coefficient of the denominator is positive.
 
 The canonical form is unique, so ``==`` is plain structural comparison.
-Everything runs on Python's unbounded ints; series extraction goes through
+The constructor reaches it through a polynomial gcd.  Where the pair is
+known to be coprime already, :meth:`RatFunc.from_coprime` normalises only
+content and sign; :func:`cancel_factors` supplies such a pair without a gcd
+when one side is a product of known irreducible factors, such as the
+cyclotomic common denominator of a growth table.  Everything runs on
+Python's unbounded ints; series extraction goes through
 ``fractions.Fraction`` internally and is exact.
 """
 
@@ -93,9 +98,10 @@ class Poly:
         if not self or not other:
             return Poly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in terms:
                     out[i + j] += a * b
         return Poly(out)
 
@@ -143,6 +149,7 @@ class Poly:
         if dn < dd:
             raise ValueError("polynomial division is not exact")
         quot = [0] * (dn - dd + 1)
+        terms = [(i, di) for i, di in enumerate(d) if di]
         for k in range(dn - dd, -1, -1):
             lead = rem[k + dd]
             if lead % d[-1]:
@@ -150,7 +157,7 @@ class Poly:
             c = lead // d[-1]
             quot[k] = c
             if c:
-                for i, di in enumerate(d):
+                for i, di in terms:
                     rem[k + i] -= c * di
         if any(rem):
             raise ValueError("polynomial division is not exact")
@@ -204,14 +211,32 @@ class RatFunc:
             den = Poly.constant(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
+        if num:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+        self._normalise(num, den)
+
+    @classmethod
+    def from_coprime(cls, num: Poly, den: Poly) -> "RatFunc":
+        """num / den for polynomials already coprime over Q; no gcd is taken.
+
+        Only the integer content and the sign are normalised, so the result
+        equals ``RatFunc(num, den)`` exactly when the precondition holds.
+        """
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        out = cls.__new__(cls)
+        out._normalise(num, den)
+        return out
+
+    def _normalise(self, num: Poly, den: Poly):
+        """Store a pair coprime over Q with coprime contents and the sign convention."""
         if not num:
             self.num = P_ZERO
             self.den = P_ONE
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
         c = gcd(num.content(), den.content())
         if c > 1:
             num = Poly(tuple(x // c for x in num.coeffs))
@@ -358,7 +383,32 @@ def substitute_inverse(r: RatFunc) -> RatFunc:
         num = num.shifted(dd - dn)
     else:
         den = den.shifted(dn - dd)
-    return RatFunc(num, den)
+    # r is canonical, so num and den share no root.  Reversal maps each
+    # nonzero root to its inverse and leaves neither side divisible by t, and
+    # the shift puts powers of t on one side only: the pair stays coprime.
+    return RatFunc.from_coprime(num, den)
+
+
+def cancel_factors(p: Poly, factors) -> tuple:
+    """``(p / g, F / g)`` for F = prod f^e over the pairs (f, e) of ``factors``
+    and g = gcd(p, F), by trial division: no gcd is taken.
+
+    Each f must be primitive and irreducible over Q, and no two may be
+    associates (the cyclotomic polynomials Phi_k are); then
+    g = prod f^min(e, v_f(p)), and the two results are coprime over Q.
+    """
+    rest = P_ONE
+    for f, e in factors:
+        kept = e
+        while kept:
+            try:
+                p = p.exact_div(f)
+            except ValueError:
+                break
+            kept -= 1
+        for _ in range(kept):
+            rest = rest * f
+    return p, rest
 
 
 def format_poly(p: Poly) -> str:

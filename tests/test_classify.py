@@ -10,13 +10,17 @@ asserted against the standard values only; see the README for this trust
 boundary.
 """
 
+import importlib
 from math import factorial
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coxgrowth import (GeometricOracle, WordOracle, classify, get,
-                       growth_table, is_spherical, spherical_subsets)
-from coxgrowth.classify import ComponentType, degrees_of
+from coxgrowth import (ENTRIES, GeometricOracle, WordOracle, classify, get,
+                       growth_table, is_spherical, parse_coxeter_file,
+                       spherical_subsets)
+from coxgrowth.classify import ComponentType, classify_all, degrees_of
 from coxgrowth.coxeter import INFINITY, coxeter_matrix
 from coxgrowth.ratfunc import series_expand
 
@@ -160,6 +164,61 @@ def test_spherical_subsets_downward_closed():
                 if sub == 0:
                     break
                 sub = (sub - 1) & t
+
+
+# ---------------------------------------------------------------------------
+# the incremental pass over all masks against the single-mask reference
+# ---------------------------------------------------------------------------
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+classify_module = importlib.import_module("coxgrowth.classify")
+
+
+def _assert_pass_matches_classify(matrix):
+    infos, spherical = classify_all(matrix)
+    assert len(infos) == 1 << matrix.rank
+    for t, info in enumerate(infos):
+        assert info == classify(matrix, t), (matrix, t)
+    assert spherical == tuple(t for t, info in enumerate(infos) if info.finite)
+
+
+def test_classify_all_matches_classify_on_catalog_and_shipped_systems():
+    for entry in ENTRIES:
+        _assert_pass_matches_classify(entry.matrix)
+    for path in sorted(SYSTEMS.glob("*.cox")):
+        _assert_pass_matches_classify(parse_coxeter_file(path.read_text()))
+
+
+@st.composite
+def systems_up_to_rank_7(draw):
+    rank = draw(st.integers(min_value=1, max_value=7))
+    pairs = {(i, j): draw(st.sampled_from([2, 2, 2, 3, 3, 4, 5, 6, INFINITY]))
+             for i in range(rank) for j in range(i + 1, rank)}
+    return coxeter_matrix(rank, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_up_to_rank_7())
+def test_classify_all_matches_classify_on_random_systems(matrix):
+    _assert_pass_matches_classify(matrix)
+
+
+@pytest.mark.parametrize("matrix,connected", [
+    (path(10), 55),                                         # the intervals of A_10
+    (coxeter_matrix(10, {(i, j): INFINITY for i in range(10) for j in range(i + 1, 10)}),
+     55),                                                   # free: points and pairs
+])
+def test_classify_all_matches_each_connected_subset_once(monkeypatch, matrix, connected):
+    calls = []
+
+    def counting(matrix, comp):
+        calls.append(comp)
+        return match(matrix, comp)
+
+    match = classify_module._match_component
+    monkeypatch.setattr(classify_module, "_match_component", counting)
+    classify_all.__wrapped__(matrix)        # bypass the cache: a fresh pass
+    assert len(calls) == len(set(calls)) == connected
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Growth tables, nerve coefficients, and the four alternating-sum identities."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from coxgrowth import (ENTRIES, INFINITY, InvariantViolation, WordOracle,
                        verify_identities, verify_identity)
 from coxgrowth import growth
 from coxgrowth.coxeter import coxeter_matrix, submasks
+from coxgrowth.classify import classify_all
 from coxgrowth.growth import GrowthTable
 from coxgrowth.ratfunc import (Poly, RatFunc, format_ratfunc, series_expand,
                                substitute_inverse)
@@ -266,9 +269,15 @@ def _seed_table(matrix):
 
 
 def _assert_matches_seed(matrix):
-    table = GrowthTable(matrix)
-    for subset, w in _seed_table(matrix).items():
-        assert table.series(subset) == w, (matrix, subset)
+    # at the default packing width and at one byte per coefficient, where
+    # most tables outgrow their digits and must be rebuilt wider
+    seed = _seed_table(matrix)
+    for width in (growth._DIGIT_BYTES, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(growth, "_DIGIT_BYTES", width)
+            table = GrowthTable(matrix)
+        for subset, w in seed.items():
+            assert table.series(subset) == w, (matrix, width, subset)
 
 
 def test_table_matches_seed_recursion_on_catalog():
@@ -322,6 +331,147 @@ def test_invariant_violation_message():
     for entry in ENTRIES:
         GrowthTable(entry.matrix)  # must not raise
     assert issubclass(InvariantViolation, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# packed numerators: width safety
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-(2 ** 20), 2 ** 20), min_size=1, max_size=8),
+       st.integers(min_value=1, max_value=4))
+def test_packing_round_trip_and_bound_check(coeffs, width):
+    packing = growth._Packing(len(coeffs), width)
+    bound = max(map(abs, coeffs))
+    if bound >= packing.half:
+        with pytest.raises(growth._Overflow, match=f"bound {bound} "):
+            packing.pack(coeffs)
+        return
+    value, packed_bound = packing.pack(coeffs)
+    assert packed_bound == bound
+    assert packing.unpack(value, bound) == coeffs
+    assert (value == 0) == (not any(coeffs))
+    with pytest.raises(growth._Overflow, match=f"bound {packing.half} "):
+        packing.unpack(value, packing.half)
+
+
+def _assert_width_independent(matrix):
+    """A table packed one byte per coefficient (rebuilt wider wherever a bound
+    outgrows that) has the same entries, bounds and identity reports."""
+    wide = GrowthTable(matrix)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "_DIGIT_BYTES", 1)
+        narrow = GrowthTable(matrix)
+        mp.setattr(growth, "growth_table", lambda m: narrow)
+        narrow_reports = verify_identities(matrix)
+    assert max(narrow._bounds) < narrow._packing.half
+    assert narrow._bounds == wide._bounds, matrix
+    for t in range(1 << matrix.rank):
+        assert narrow._numerator(t) == wide._numerator(t), (matrix, t)
+        assert narrow.series(t) == wide.series(t), (matrix, t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "growth_table", lambda m: wide)
+        assert narrow_reports == verify_identities(matrix), matrix
+    return narrow
+
+
+def test_narrow_packing_gives_identical_tables_on_catalog():
+    matrices = [e.matrix for e in ENTRIES] + EXTRA_FINITE
+    widths = {_assert_width_independent(m)._packing.width for m in matrices}
+    assert widths != {1}    # some table was rebuilt wider
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_up_to_rank_6())
+def test_narrow_packing_gives_identical_tables_on_random_systems(matrix):
+    _assert_width_independent(matrix)
+
+
+def test_one_division_per_distinct_numerator():
+    # all 2^10 subsets of A_10 are finite, of far fewer types; one division
+    # (acc, then L / N_T) per type besides the empty one
+    matrix = _path(10)
+    table = GrowthTable(matrix)
+    types = {info.degrees for info in classify_all(matrix)[0]}
+    assert len(table._polynomials) == 1 << 10
+    assert len(table._checked) == len(types) - 1 < 100
+
+
+# ---------------------------------------------------------------------------
+# gcd-free canonical forms against the gcd path
+# ---------------------------------------------------------------------------
+
+def _inverse_by_gcd(num, den):
+    """(num / den)(1/t) with powers of t cleared, reduced by the gcd path."""
+    num, den = num.reversed(), den.reversed()
+    if den.degree >= num.degree:
+        num = num.shifted(den.degree - num.degree)
+    else:
+        den = den.shifted(num.degree - den.degree)
+    return RatFunc(num, den)
+
+
+def test_gcd_free_forms_match_gcd_path_on_catalog():
+    for entry in ENTRIES:
+        matrix = entry.matrix
+        table = growth_table(matrix)
+        L = table.denominator
+        full = matrix.full_mask
+        signed = {t: table._numerator(t) * (-1) ** t.bit_count() for t in range(full + 1)}
+        for t in signed:
+            assert table.series(t) == RatFunc(L, table._numerator(t)), (entry.name, t)
+        reciprocal = RatFunc(table._numerator(full), L)
+        everything = RatFunc(sum(signed.values(), Poly()), L)
+        m = classify(matrix, full).longest_length
+        by_gcd = {
+            1: lambda: (everything, RatFunc(0)),
+            2: lambda: (everything, RatFunc(table._numerator(full).shifted(m), L)),
+            3: lambda: (RatFunc(sum((signed[t] * chi for t, chi in
+                                     nerve_coefficients(matrix).items()), Poly()), L),
+                        reciprocal),
+            4: lambda: (RatFunc(sum((signed[t] for t in spherical_subsets(matrix)), Poly()), L),
+                        _inverse_by_gcd(table._numerator(full), L)),
+        }
+        for rep in verify_identities(matrix):
+            if rep.applicable:
+                assert (rep.lhs, rep.rhs) == by_gcd[rep.identity](), (entry.name, rep.identity)
+
+
+# ---------------------------------------------------------------------------
+# the rank cap: rank 16 and large dihedral orders
+# ---------------------------------------------------------------------------
+
+def _free(n):
+    return coxeter_matrix(n, {(i, j): INFINITY for i in range(n) for j in range(i + 1, n)})
+
+
+def _right_angled_cycle(n):
+    cycle = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    return coxeter_matrix(n, {(i, j): INFINITY for i in range(n) for j in range(i + 1, n)
+                              if (i, j) not in cycle})
+
+
+def test_rank_sixteen_identities():
+    for matrix in (_free(16), _right_angled_cycle(16)):
+        reports = verify_identities(matrix)
+        assert all(r.holds for r in reports if r.applicable)
+        assert sum(r.applicable for r in reports) == 3
+    assert growth_series(_free(16)) == RatFunc(Poly((1, 1)), Poly((1, -15)))
+
+
+def test_rank_twelve_series_is_solomon_product():
+    assert growth_series(_path(12)) == _solomon(range(2, 14))
+
+
+def test_large_dihedral_verifies_within_a_second():
+    matrix = coxeter_matrix(2, {(0, 1): 4000})
+    start = time.perf_counter()
+    reports = verify_identities(matrix)
+    elapsed = time.perf_counter() - start
+    assert [r.holds for r in reports] == [None, True, True, True]
+    series = growth_series(matrix)
+    assert (series.num, series.den) == (_q(2) * _q(4000), Poly((1,)))
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from coxgrowth.ratfunc import (Poly, RatFunc, format_poly, format_ratfunc,
+from coxgrowth.growth import _cyclotomic
+from coxgrowth.ratfunc import (Poly, RatFunc, cancel_factors, format_poly, format_ratfunc,
                                poly_gcd, series_expand, substitute_inverse)
 
 
@@ -167,6 +168,59 @@ def test_canonical_form_matches_sympy_cancel(num, den, common):
 @given(rat_strategy())
 def test_substitute_inverse_is_involutive(r):
     assert substitute_inverse(substitute_inverse(r)) == r
+
+
+def _substitute_inverse_by_gcd(r):
+    """The gcd path: reverse both sides, clear powers of t, reduce in the constructor."""
+    if not r.num:
+        return RatFunc(0)
+    num, den = r.num.reversed(), r.den.reversed()
+    if r.den.degree >= r.num.degree:
+        num = num.shifted(r.den.degree - r.num.degree)
+    else:
+        den = den.shifted(r.num.degree - r.den.degree)
+    return RatFunc(num, den)
+
+
+@settings(max_examples=80)
+@given(rat_strategy(), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+def test_substitute_inverse_matches_gcd_path(r, a, b):
+    # powers of t on either side exercise both shifts
+    r = r * RatFunc(Poly.t_power(a), Poly.t_power(b))
+    assert substitute_inverse(r) == _substitute_inverse_by_gcd(r)
+
+
+_PHI = {}   # cyclotomic polynomials, shared by the examples below
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeff_lists,
+       st.dictionaries(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=3),
+                       max_size=5),
+       st.lists(st.integers(min_value=2, max_value=12), max_size=6))
+def test_cancel_factors_matches_gcd_reduction(base, exponents, shared):
+    # a random polynomial times a random sub-product of L = prod Phi_k^e_k
+    # (and possibly further cyclotomic factors), reduced both ways up
+    factors = [(_cyclotomic(k, _PHI), e) for k, e in sorted(exponents.items())]
+    L = Poly((1,))
+    for phi, e in factors:
+        for _ in range(e):
+            L = L * phi
+    num = Poly(base)
+    for k in shared:
+        num = num * _cyclotomic(k, _PHI)
+    reduced, rest = cancel_factors(num, factors)
+    assert RatFunc.from_coprime(reduced, rest) == RatFunc(num, L)
+    if num:
+        assert RatFunc.from_coprime(rest, reduced) == RatFunc(L, num)
+
+
+def test_from_coprime_normalises_content_and_sign():
+    assert RatFunc.from_coprime(P(2, 4), P(-6, 2)) == RatFunc(P(1, 2), P(-3, 1))
+    assert repr(RatFunc.from_coprime(P(2, 4), P(-6, 2))) == "RatFunc((-1, -2), (3, -1))"
+    assert RatFunc.from_coprime(P(), P(0, 5)) == RatFunc(0)
+    with pytest.raises(ZeroDivisionError):
+        RatFunc.from_coprime(P(1), P())
 
 
 def test_substitute_inverse_examples():
