@@ -10,13 +10,12 @@ and an exact reflection (Tits-cone) representation.
 from .catalog import ENTRIES, get, names
 from .census import (SimplexRecord, census_by_type, enumerate_simplices,
                      euler_series, euler_series_by_type, panel_union_euler)
-from .classify import FiniteTypeInfo, classify, is_spherical, spherical_subsets
+from .classify import FiniteTypeInfo, classify, spherical_subsets
 from .coxeter import (INFINITY, CoxeterMatrix, CoxParseError, bits_of,
                       coxeter_matrix, format_subset, mask_of,
                       parse_coxeter_file, serialize_coxeter)
 from .growth import (GrowthTable, InvariantViolation, growth_series,
-                     growth_table, nerve_coefficient, nerve_coefficients,
-                     nerve_link, verify_identities, verify_identity)
+                     nerve_coefficients, verify_identities, verify_identity)
 from .oracle import (GeometricOracle, OracleHorizonError, WordOracle,
                      coset_decomposition_check, cross_check_oracles)
 from .ratfunc import (Poly, RatFunc, format_poly, format_ratfunc,
@@ -28,13 +27,12 @@ __all__ = [
     "CoxeterMatrix", "CoxParseError", "INFINITY", "coxeter_matrix",
     "parse_coxeter_file", "serialize_coxeter", "bits_of", "mask_of",
     "format_subset",
-    "FiniteTypeInfo", "classify", "is_spherical", "spherical_subsets",
+    "FiniteTypeInfo", "classify", "spherical_subsets",
     "Poly", "RatFunc", "series_expand", "substitute_inverse",
     "format_poly", "format_ratfunc",
     "WordOracle", "GeometricOracle", "OracleHorizonError",
     "coset_decomposition_check", "cross_check_oracles",
-    "GrowthTable", "InvariantViolation", "growth_table", "growth_series",
-    "nerve_coefficient", "nerve_coefficients", "nerve_link",
+    "GrowthTable", "InvariantViolation", "growth_series", "nerve_coefficients",
     "verify_identity", "verify_identities",
     "SimplexRecord", "census_by_type", "enumerate_simplices", "euler_series",
     "euler_series_by_type", "panel_union_euler",

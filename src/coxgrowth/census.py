@@ -26,16 +26,19 @@ consumer: ``enumerate_simplices`` (the sorted records), ``euler_series``
 slice and record count at once and attaches its closed form for comparison.
 ``euler_series_by_type`` makes the same pass but builds the closed form of
 its one type only.
+
+Each public call classifies its system once (:func:`classify_all`; the
+census-by-type calls read the classification of the one growth table they
+build) and passes that down; nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .classify import classify, spherical_subsets
+from .classify import classify_all, spherical_subsets
 from .coxeter import CoxeterMatrix, Mask, format_subset, submasks
-from .growth import growth_table, nerve_coefficients
+from .growth import GrowthTable, _nerve_coefficients
 from .oracle import WordOracle, _coset_pieces
 from .ratfunc import RatFunc, series_expand, substitute_inverse
 
@@ -56,46 +59,48 @@ class SimplexRecord:
     length_value: int
 
 
-@lru_cache(maxsize=None)
-def spherical_chains(matrix: CoxeterMatrix) -> tuple:
-    """All strict chains T0 < T1 < ... < Tk of spherical subsets, as mask tuples."""
-    sph = spherical_subsets(matrix)
-
-    @lru_cache(maxsize=None)
-    def chains_from(t):
+def spherical_chains(spherical: tuple) -> tuple:
+    """All strict chains T0 < T1 < ... < Tk of the given spherical subsets
+    (in increasing mask order, as :func:`spherical_subsets` lists them), as
+    mask tuples, grouped by T0 in that order."""
+    chains_from = {}
+    for i in range(len(spherical) - 1, -1, -1):    # a strict superset is a larger mask
+        t = spherical[i]
         out = [(t,)]
-        for u in sph:
-            if u != t and u & t == t:
-                out.extend((t,) + c for c in chains_from(u))
-        return tuple(out)
-
-    all_chains = []
-    for t in sph:
-        all_chains.extend(chains_from(t))
-    return tuple(all_chains)
+        for u in spherical[i + 1:]:
+            if u & t == t:
+                out.extend((t,) + c for c in chains_from[u])
+        chains_from[t] = out
+    return tuple(c for t in spherical for c in chains_from[t])
 
 
 def valid_type_masks(matrix: CoxeterMatrix, kind: str) -> list:
     """The subset types a record of this kind can carry."""
+    return _valid_types(matrix, kind, spherical_subsets(matrix))
+
+
+def _valid_types(matrix: CoxeterMatrix, kind: str, spherical: tuple) -> list:
     full = matrix.full_mask
     if kind == "coxeter":
         return [t for t in range(full + 1) if t != full]
     if kind == "davis":
-        return list(spherical_subsets(matrix))
+        return list(spherical)
     if kind == "tits":
-        return [t for t in spherical_subsets(matrix) if t != full]
+        return [t for t in spherical if t != full]
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _resolve(matrix: CoxeterMatrix, kind: str, horizon, oracle):
+def _resolve(matrix: CoxeterMatrix, kind: str, horizon, oracle, classified):
     """Check a census request; return (valid types, horizon, oracle).
 
-    For a finite group with kind "coxeter" or "tits" the horizon may be
-    omitted and defaults to the longest element length, so the whole
-    (finite) complex is covered.  Kind "davis" requires an infinite group.
+    ``classified`` is the system's ``classify_all(matrix)``.  For a finite
+    group with kind "coxeter" or "tits" the horizon may be omitted and
+    defaults to the longest element length, so the whole (finite) complex is
+    covered.  Kind "davis" requires an infinite group.
     """
-    types = valid_type_masks(matrix, kind)
-    info = classify(matrix, matrix.full_mask)
+    infos, spherical = classified
+    types = _valid_types(matrix, kind, spherical)
+    info = infos[matrix.full_mask]
     if kind == "davis" and info.finite:
         raise ValueError("the davis chamber model is only defined for infinite groups")
     if horizon is None:
@@ -109,7 +114,8 @@ def _resolve(matrix: CoxeterMatrix, kind: str, horizon, oracle):
     return types, horizon, oracle
 
 
-def _simplices(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOracle):
+def _simplices(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOracle,
+               classified):
     """Yield (rep id, type_mask, chain, dim, length_value) for every simplex of
     the census with length value <= horizon, in no particular order.
 
@@ -117,15 +123,16 @@ def _simplices(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOracl
     descent set missing T entirely, so the types at u are the submasks of the
     complement of its descent set.  Each type carries its faces as (chain,
     dim, shift), the length value being length(u) + shift.  The arguments are
-    those returned by :func:`_resolve`.
+    those returned by :func:`_resolve`, and the classification it read.
     """
+    infos, spherical = classified
     faces = {}
     if kind == "davis":
-        for chain in spherical_chains(matrix):
+        for chain in spherical_chains(spherical):
             faces.setdefault(chain[0], []).append((chain, len(chain) - 1, 0))
     else:
-        for t in valid_type_masks(matrix, kind):
-            shift = classify(matrix, t).longest_length if kind == "tits" else 0
+        for t in _valid_types(matrix, kind, spherical):
+            shift = infos[t].longest_length if kind == "tits" else 0
             faces[t] = [(None, matrix.rank - t.bit_count() - 1, shift)]
     for k in range(horizon + 1):
         for i in oracle.sphere_ids(k):
@@ -145,9 +152,10 @@ def enumerate_simplices(matrix: CoxeterMatrix, kind: str, horizon: int = None,
     The horizon may be omitted for a finite group with kind "coxeter" or
     "tits"; kind "davis" requires an infinite group.
     """
-    _, horizon, oracle = _resolve(matrix, kind, horizon, oracle)
+    classified = classify_all(matrix)
+    _, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
     records = [SimplexRecord(kind, oracle.word(i), *rest)
-               for i, *rest in _simplices(matrix, kind, horizon, oracle)]
+               for i, *rest in _simplices(matrix, kind, horizon, oracle, classified)]
     records.sort(key=lambda r: (r.length_value, r.type_mask, r.chain or (), r.rep))
     return records
 
@@ -155,9 +163,10 @@ def enumerate_simplices(matrix: CoxeterMatrix, kind: str, horizon: int = None,
 def euler_series(matrix: CoxeterMatrix, kind: str, horizon: int = None,
                  oracle: WordOracle = None) -> list:
     """Coefficients of sum (-1)^dim t^length over the census, up to the horizon."""
-    _, horizon, oracle = _resolve(matrix, kind, horizon, oracle)
+    classified = classify_all(matrix)
+    _, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
     coeffs = [0] * (horizon + 1)
-    for *_, dim, length in _simplices(matrix, kind, horizon, oracle):
+    for *_, dim, length in _simplices(matrix, kind, horizon, oracle, classified):
         coeffs[length] += _sign(dim)
     return coeffs
 
@@ -178,30 +187,33 @@ class TypeCensus:
         return self.census == self.closed_series
 
 
-def _type_census(matrix: CoxeterMatrix, kind: str, horizon: int, t: Mask,
+def _type_census(table: GrowthTable, kind: str, horizon: int, t: Mask,
                  census: list, records: int, chis: dict) -> TypeCensus:
-    """Attach type t's closed form (see :func:`census_by_type`) to its slice;
-    ``chis`` holds the nerve coefficients (kind "davis" only)."""
-    table = growth_table(matrix)
+    """Attach type t's closed form (see :func:`census_by_type`), read from the
+    system's table, to its slice; ``chis`` holds the nerve coefficients (kind
+    "davis" only)."""
+    rank = table.matrix.rank
     w = table.series()
     wt = table.series(t)
     size = t.bit_count()
     if kind == "coxeter":
-        closed = _sign(matrix.rank - size - 1) * w / wt
+        closed = _sign(rank - size - 1) * w / wt
     elif kind == "davis":
         closed = chis[t] * _sign(size) * w / wt
     else:
-        closed = _sign(matrix.rank - size - 1) * w / substitute_inverse(wt)
+        closed = _sign(rank - size - 1) * w / substitute_inverse(wt)
     return TypeCensus(kind, t, tuple(census), closed,
                       tuple(series_expand(closed, horizon)), records)
 
 
-def _type_slices(matrix: CoxeterMatrix, kind: str, horizon, oracle):
-    """One pass over the census: (types, horizon, slice per type, records per type)."""
-    types, horizon, oracle = _resolve(matrix, kind, horizon, oracle)
+def _type_slices(table: GrowthTable, kind: str, horizon, oracle):
+    """One pass over the census of the table's system, classified as the table
+    is: (types, horizon, slice per type, records per type)."""
+    matrix, classified = table.matrix, (table.infos, table.spherical)
+    types, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
     slices = {t: [0] * (horizon + 1) for t in types}
     counts = dict.fromkeys(types, 0)
-    for _, t, _, dim, length in _simplices(matrix, kind, horizon, oracle):
+    for _, t, _, dim, length in _simplices(matrix, kind, horizon, oracle, classified):
         slices[t][length] += _sign(dim)
         counts[t] += 1
     return types, horizon, slices, counts
@@ -218,9 +230,10 @@ def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
         davis:    (-1)^{|T|} chi_T * W(t) / W_T(t)
         tits:     (-1)^{|S|-|T|-1} * W(t) / W_T(1/t)
     """
-    types, horizon, slices, counts = _type_slices(matrix, kind, horizon, oracle)
-    chis = nerve_coefficients(matrix) if kind == "davis" else None
-    return [_type_census(matrix, kind, horizon, t, slices[t], counts[t], chis)
+    table = GrowthTable(matrix)
+    types, horizon, slices, counts = _type_slices(table, kind, horizon, oracle)
+    chis = _nerve_coefficients(matrix.rank, table.spherical) if kind == "davis" else None
+    return [_type_census(table, kind, horizon, t, slices[t], counts[t], chis)
             for t in types]
 
 
@@ -232,11 +245,12 @@ def euler_series_by_type(matrix: CoxeterMatrix, kind: str, type_mask: Mask,
     type's closed form built; use :func:`census_by_type` to get every type
     from one pass.
     """
-    if type_mask not in valid_type_masks(matrix, kind):
+    table = GrowthTable(matrix)
+    if type_mask not in _valid_types(matrix, kind, table.spherical):
         raise ValueError(f"{format_subset(type_mask)} is not a valid {kind} type")
-    _, horizon, slices, counts = _type_slices(matrix, kind, horizon, oracle)
-    chis = nerve_coefficients(matrix) if kind == "davis" else None
-    return _type_census(matrix, kind, horizon, type_mask,
+    _, horizon, slices, counts = _type_slices(table, kind, horizon, oracle)
+    chis = _nerve_coefficients(matrix.rank, table.spherical) if kind == "davis" else None
+    return _type_census(table, kind, horizon, type_mask,
                         slices[type_mask], counts[type_mask], chis)
 
 
@@ -270,14 +284,15 @@ def check_face_length_drop(matrix: CoxeterMatrix, kind: str, horizon: int = None
     """
     if kind not in ("coxeter", "davis"):
         raise ValueError("the face-length criterion applies to kinds 'coxeter' and 'davis'")
-    types, horizon, oracle = _resolve(matrix, kind, horizon, oracle)
+    classified = classify_all(matrix)
+    types, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
     # the ball's ids are 0, 1, ... in ShortLex order, so by length
     lengths = [k for k, size in enumerate(oracle.sphere_sizes(horizon)) for _ in range(size)]
     if kind == "coxeter":
         weighted_types = [(t, 1) for t in types]
     else:
         chain_count = {}
-        for chain in spherical_chains(matrix):
+        for chain in spherical_chains(classified[1]):
             chain_count[chain[0]] = chain_count.get(chain[0], 0) + 1
         weighted_types = sorted(chain_count.items())
 
@@ -320,12 +335,13 @@ def panel_union_euler(matrix: CoxeterMatrix, kind: str, subset: Mask) -> int:
     if kind == "coxeter":
         return sum(_sign(rank - t.bit_count() - 1)
                    for t in submasks(full, proper=True) if t & subset)
-    if classify(matrix, full).finite:
+    infos, spherical = classify_all(matrix)
+    if infos[full].finite:
         raise ValueError("the davis chamber model is only defined for infinite groups")
-    if not classify(matrix, subset).finite:
+    if not infos[subset].finite:
         raise ValueError("davis panel unions need every subset of the set to be spherical")
     return sum(_sign(len(chain) - 1)
-               for chain in spherical_chains(matrix) if chain[0] & subset)
+               for chain in spherical_chains(spherical) if chain[0] & subset)
 
 
 @dataclass
@@ -347,7 +363,7 @@ def check_local_alternating_sum(matrix: CoxeterMatrix, horizon: int = None,
     (-1)^{|S|-1}: the binomial alternating sum collapses unless the descent
     set is empty.
     """
-    _, horizon, oracle = _resolve(matrix, "coxeter", horizon, oracle)
+    _, horizon, oracle = _resolve(matrix, "coxeter", horizon, oracle, classify_all(matrix))
     rank = matrix.rank
     report = LocalSumReport(horizon=horizon, chambers_checked=0)
     for k in range(horizon + 1):

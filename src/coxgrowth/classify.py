@@ -18,6 +18,11 @@ proper subsets are spherical.  That is one match per such connected subset
 right-angled families) instead of a diagram search per subset: all 65 536
 subsets of A_16 are classified in under half a second.
 
+Nothing here is cached: each call classifies afresh, and the caller keeps
+what it needs.  The growth table holds the ``(infos, spherical)`` pair of
+its system; other callers classify once per request and pass the result
+down.
+
 Each catalog family carries one datum, its degrees d_1, ..., d_n (the
 degrees of the basic invariants).  Everything used downstream derives from
 them: the number of positive roots sum(d_i - 1), which is the length of the
@@ -30,7 +35,6 @@ E8, large A/B/D) are trusted catalog data, as noted in the README.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 
 from .coxeter import INFINITY, CoxeterMatrix, Mask, bits_of, diagram_components, mask_of
@@ -206,7 +210,6 @@ def _match_component(matrix, comp):
     return None
 
 
-@lru_cache(maxsize=None)
 def classify(matrix: CoxeterMatrix, subset: Mask) -> FiniteTypeInfo:
     """Decide finiteness of the parabolic subgroup on ``subset``.
 
@@ -227,11 +230,6 @@ def classify(matrix: CoxeterMatrix, subset: Mask) -> FiniteTypeInfo:
                           prod(degrees), degrees)
 
 
-def is_spherical(matrix: CoxeterMatrix, subset: Mask) -> bool:
-    return classify(matrix, subset).finite
-
-
-@lru_cache(maxsize=None)
 def classify_all(matrix: CoxeterMatrix) -> tuple:
     """``(infos, spherical)``: ``infos[T] == classify(matrix, T)`` for every mask
     T, and the spherical masks in increasing order; one incremental pass (see

@@ -19,8 +19,8 @@ from .catalog import ENTRIES
 from .census import KINDS, census_by_type
 from .classify import classify
 from .coxeter import CoxParseError, format_subset, parse_coxeter_file
-from .growth import (InvariantViolation, growth_table, nerve_coefficients,
-                     nerve_link, verify_identities, verify_identity)
+from .growth import (GrowthTable, InvariantViolation, NerveLink, nerve_coefficients,
+                     verify_identity)
 from .oracle import OracleHorizonError, WordOracle, cross_check_oracles
 from .ratfunc import format_poly, format_ratfunc, series_expand
 
@@ -69,9 +69,9 @@ def _load(path):
 
 def _cmd_growth(args):
     matrix = _load(args.file)
-    table = growth_table(matrix)
+    table = GrowthTable(matrix)
     series = table.series()
-    info = classify(matrix, matrix.full_mask)
+    info = table.infos[matrix.full_mask]
     lines = [f"W(t) = {format_ratfunc(series)}"]
     if info.finite:
         lines.append(f"finite group of order {info.order}, "
@@ -97,10 +97,9 @@ def _cmd_growth(args):
 
 def _cmd_verify(args):
     matrix = _load(args.file)
-    if args.identity == "all":
-        reports = verify_identities(matrix)
-    else:
-        reports = [verify_identity(matrix, int(args.identity))]
+    table = GrowthTable(matrix)
+    which = (1, 2, 3, 4) if args.identity == "all" else (int(args.identity),)
+    reports = [verify_identity(table, k) for k in which]
     lines = []
     checks = []
     for rep in reports:
@@ -112,7 +111,7 @@ def _cmd_verify(args):
             detail = "holds by construction" if rep.by_construction else "independent check"
             checks.append(_check(f"identity {rep.identity}", status, detail,
                                  format_ratfunc(rep.lhs), format_ratfunc(rep.rhs)))
-    data = {"rank": matrix.rank, "finite": classify(matrix, matrix.full_mask).finite}
+    data = {"rank": matrix.rank, "finite": table.infos[matrix.full_mask].finite}
     return lines, data, checks
 
 
@@ -121,8 +120,10 @@ def _cmd_chi(args):
     lines = []
     checks = []
     rows = []
-    for subset, chi in nerve_coefficients(matrix).items():
-        link = nerve_link(matrix, subset)
+    chis = nerve_coefficients(matrix)
+    spherical = tuple(chis)           # increasing, so a strict superset comes later
+    for i, (subset, chi) in enumerate(chis.items()):
+        link = NerveLink(subset, tuple(u for u in spherical[i + 1:] if u & subset == subset))
         one_minus = 1 - link.euler_characteristic()
         sign = -1 if subset.bit_count() & 1 else 1
         agree = one_minus == sign * chi
@@ -206,16 +207,17 @@ def _cmd_catalog(args):
                              "description": entry.description})
     if args.self_test:
         for entry in ENTRIES:
+            series = GrowthTable(entry.matrix).series()
             if entry.growth is not None:
-                got = format_ratfunc(growth_table(entry.matrix).series())
+                got = format_ratfunc(series)
                 checks.append(_check(f"{entry.name}: growth series",
                                      "pass" if got == entry.growth else "fail",
                                      lhs=got, rhs=entry.growth))
             if entry.spheres is not None:
                 horizon = len(entry.spheres) - 1
                 got_spheres = tuple(WordOracle(entry.matrix).sphere_sizes(horizon))
-                series = tuple(series_expand(growth_table(entry.matrix).series(), horizon))
-                ok = got_spheres == entry.spheres and series == entry.spheres
+                expanded = tuple(series_expand(series, horizon))
+                ok = got_spheres == entry.spheres and expanded == entry.spheres
                 checks.append(_check(f"{entry.name}: sphere sizes",
                                      "pass" if ok else "fail",
                                      lhs=str(list(got_spheres)), rhs=str(list(entry.spheres))))

@@ -20,7 +20,7 @@ everywhere in code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 RANK_CAP = 16
 
@@ -58,7 +58,7 @@ class CoxParseError(ValueError):
 
 @dataclass(frozen=True)
 class CoxeterMatrix:
-    """Immutable symmetric order matrix.  Rank 0 is the empty-subset sentinel."""
+    """Immutable symmetric order matrix.  Rank 0 (no generators) is allowed."""
 
     rank: int
     orders: tuple
@@ -214,25 +214,8 @@ def serialize_coxeter(matrix: CoxeterMatrix) -> str:
 
 
 # ---------------------------------------------------------------------------
-# restriction and diagram components
+# diagram components
 # ---------------------------------------------------------------------------
-
-class Restriction(NamedTuple):
-    matrix: CoxeterMatrix
-    parent_index: tuple
-
-
-def restrict(matrix: CoxeterMatrix, subset: Mask) -> Restriction:
-    """Submatrix on the subset's generators plus the map back to parent indices.
-
-    The empty subset yields the rank-0 sentinel matrix.
-    """
-    if subset & ~matrix.full_mask:
-        raise ValueError("subset is not within the generator set")
-    idx = bits_of(subset)
-    orders = tuple(tuple(matrix.orders[a][b] for b in idx) for a in idx)
-    return Restriction(CoxeterMatrix(len(idx), orders), tuple(idx))
-
 
 def diagram_components(matrix: CoxeterMatrix, subset: Mask) -> list:
     """Connected components of the diagram induced on ``subset``.

@@ -56,8 +56,14 @@ pair needs only content and sign normalised.  ``series(T)`` of an infinite
 T and both sides of every identity are reduced this way; ``series(T)``
 canonicalises one entry, once, when it is asked for.
 
+The table is the one owner of everything derived for its system: it keeps
+the ``(infos, spherical)`` classification that built it (one
+:func:`~coxgrowth.classify.classify_all` pass), and nothing is cached across
+tables.  Keep the object to reuse it; :func:`growth_series` builds one for a
+single answer.
+
 ``verify_identity`` re-assembles both sides of four classical identities
-from the finished table (S below is the full generator set, Sph the family
+from a finished table (S below is the full generator set, Sph the family
 of subsets generating finite subgroups, m the longest element length), each
 side summed over L and canonicalised once:
 
@@ -74,10 +80,9 @@ the construction and are independent checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import add
 
-from .classify import classify, classify_all, spherical_subsets
+from .classify import classify_all, spherical_subsets
 from .coxeter import CoxeterMatrix, Mask
 from .ratfunc import (P_ONE, Poly, RatFunc, RF_ZERO, cancel_factors, format_ratfunc,
                       substitute_inverse)
@@ -126,10 +131,11 @@ def _cyclotomic_factors(degree_tuples) -> list:
     return [(_cyclotomic(k, known), exponents[k]) for k in sorted(exponents)]
 
 
-def _common_denominator(degree_tuples) -> Poly:
-    """L = prod_k Phi_k^{e_k}: the least common multiple of the prod_i [d_i]_t."""
+def _common_denominator(factors) -> Poly:
+    """L = prod_k Phi_k^{e_k}, from the factors of :func:`_cyclotomic_factors`:
+    the least common multiple of the prod_i [d_i]_t."""
     out = P_ONE
-    for phi, e in _cyclotomic_factors(degree_tuples):
+    for phi, e in factors:
         for _ in range(e):
             out = out * phi
     return out
@@ -191,34 +197,35 @@ class GrowthTable:
 
     ``denominator`` is the common denominator L; entry T is held as the
     signed numerator (-1)^{|T|} N_T of 1/W_T = N_T / L, packed into one int,
-    together with a bound on its coefficients.
+    together with a bound on its coefficients.  ``infos`` and ``spherical``
+    are the system's classification, as :func:`classify_all` returns it.
     """
 
     def __init__(self, matrix: CoxeterMatrix):
         self.matrix = matrix
-        infos = classify_all(matrix)[0]
-        degrees = {i.degrees for i in infos if i.finite}
-        self.denominator = _common_denominator(degrees)
-        self._factors = _cyclotomic_factors(degrees)
+        self.infos, self.spherical = classify_all(matrix)
+        self._factors = _cyclotomic_factors({i.degrees for i in self.infos if i.finite})
+        self.denominator = _common_denominator(self._factors)
         width = _DIGIT_BYTES
         while True:
             try:
-                self._build(infos, _Packing(len(self.denominator.coeffs), width))
+                self._build(_Packing(len(self.denominator.coeffs), width))
                 return
             except _Overflow:
                 width *= 2
 
-    def _build(self, infos, packing: _Packing):
+    def _build(self, packing: _Packing):
         self._packing = packing
-        self._signed = [None] * len(infos)     # packed signed numerators
-        self._bounds = [None] * len(infos)     # a bound on each one's coefficients
+        size = len(self.infos)
+        self._signed = [None] * size           # packed signed numerators
+        self._bounds = [None] * size           # a bound on each one's coefficients
         self._polynomials = {0: P_ONE}         # W_T of every finite T
         self._series = {}
         self._checked = {}                     # (acc, m, sign) -> finite entry
-        zeros = [0] * len(infos)
-        self._block(0, self.matrix.rank, zeros, zeros, infos)
+        zeros = [0] * size
+        self._block(0, self.matrix.rank, zeros, zeros)
 
-    def _block(self, base: Mask, k: int, incoming: list, bounds: list, infos: list) -> tuple:
+    def _block(self, base: Mask, k: int, incoming: list, bounds: list) -> tuple:
         """Solve the masks base | x, x < 2^k, and return their subset sums and bounds.
 
         ``incoming[x]`` is the sum of the signed numerators of the subsets of
@@ -227,13 +234,13 @@ class GrowthTable:
         base | x inside it.
         """
         if k == 0:
-            self._solve(base, incoming[0], bounds[0], infos[base])
+            self._solve(base, incoming[0], bounds[0], self.infos[base])
             return [self._signed[base]], [self._bounds[base]]
         half = 1 << (k - 1)
-        low, low_bounds = self._block(base, k - 1, incoming[:half], bounds[:half], infos)
+        low, low_bounds = self._block(base, k - 1, incoming[:half], bounds[:half])
         high, high_bounds = self._block(base | half, k - 1,
                                         list(map(add, incoming[half:], low)),
-                                        list(map(add, bounds[half:], low_bounds)), infos)
+                                        list(map(add, bounds[half:], low_bounds)))
         return (low + list(map(add, low, high)),
                 low_bounds + list(map(add, low_bounds, high_bounds)))
 
@@ -324,14 +331,10 @@ class GrowthTable:
         return self._series[subset]
 
 
-@lru_cache(maxsize=None)
-def growth_table(matrix: CoxeterMatrix) -> GrowthTable:
-    return GrowthTable(matrix)
-
-
 def growth_series(matrix: CoxeterMatrix, subset: Mask = None) -> RatFunc:
-    """Growth series of the parabolic subgroup on ``subset`` (default: the whole group)."""
-    return growth_table(matrix).series(subset)
+    """Growth series of the parabolic subgroup on ``subset`` (default: the whole group),
+    from a table built for this call."""
+    return GrowthTable(matrix).series(subset)
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +343,21 @@ def growth_series(matrix: CoxeterMatrix, subset: Mask = None) -> RatFunc:
 
 def nerve_coefficients(matrix: CoxeterMatrix) -> dict:
     """chi_T = sum_{U >= T, U spherical} (-1)^{|U|} for every spherical T, as
-    {T: chi_T} in :func:`spherical_subsets` order.
+    {T: chi_T} in :func:`spherical_subsets` order."""
+    return _nerve_coefficients(matrix.rank, spherical_subsets(matrix))
+
+
+def _nerve_coefficients(rank: int, spherical: tuple) -> dict:
+    """:func:`nerve_coefficients` from the spherical subsets of a rank-``rank`` system.
 
     One superset-sum (zeta) transform over all 2^n masks: after the pass for
     bit i, entry T holds the sum over the U >= T that differ from T only in
     bits 0..i.  That is n * 2^(n-1) additions, not one scan of the spherical
     subsets per subset.
     """
-    sph = spherical_subsets(matrix)
-    size = 1 << matrix.rank
+    size = 1 << rank
     acc = [0] * size
-    for u in sph:
+    for u in spherical:
         acc[u] = _sign(u.bit_count())
     step = 1
     while step < size:
@@ -358,17 +365,7 @@ def nerve_coefficients(matrix: CoxeterMatrix) -> dict:
             acc[base:base + step] = map(add, acc[base:base + step],
                                         acc[base + step:base + 2 * step])
         step *= 2
-    return {t: acc[t] for t in sph}
-
-
-def nerve_coefficient(matrix: CoxeterMatrix, subset: Mask) -> int:
-    """chi_T for one spherical subset T; see :func:`nerve_coefficients`.
-
-    Defined here only for spherical subsets, which is where it is consumed.
-    """
-    if not classify(matrix, subset).finite:
-        raise ValueError("nerve coefficient is only defined for spherical subsets")
-    return nerve_coefficients(matrix)[subset]
+    return {t: acc[t] for t in spherical}
 
 
 @dataclass(frozen=True)
@@ -381,14 +378,6 @@ class NerveLink:
     def euler_characteristic(self) -> int:
         base_size = self.base.bit_count()
         return sum(_sign(u.bit_count() - base_size - 1) for u in self.simplices)
-
-
-def nerve_link(matrix: CoxeterMatrix, subset: Mask) -> NerveLink:
-    if not classify(matrix, subset).finite:
-        raise ValueError("nerve link is only defined for spherical subsets")
-    ups = tuple(u for u in spherical_subsets(matrix)
-                if u & subset == subset and u != subset)
-    return NerveLink(base=subset, simplices=ups)
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +407,13 @@ class IdentityReport:
                 f"lhs = {format_ratfunc(self.lhs)}   rhs = {format_ratfunc(self.rhs)}")
 
 
-def verify_identity(matrix: CoxeterMatrix, which: int) -> IdentityReport:
-    """Check one of the four alternating-sum identities as exact rational functions."""
+def verify_identity(table: GrowthTable, which: int) -> IdentityReport:
+    """Check one of the four alternating-sum identities, as exact rational
+    functions, against the table of one system."""
     if which not in (1, 2, 3, 4):
         raise ValueError("identity number must be 1, 2, 3 or 4")
-    table = growth_table(matrix)
-    full = matrix.full_mask
-    info = classify(matrix, full)
+    full = table.matrix.full_mask
+    info = table.infos[full]
 
     if which in (1, 2):
         want_finite = (which == 2)
@@ -440,9 +429,9 @@ def verify_identity(matrix: CoxeterMatrix, which: int) -> IdentityReport:
                               "inverted to build the full-group entry")
 
     if which == 3:
-        lhs = table._sum(nerve_coefficients(matrix).items())
+        lhs = table._sum(_nerve_coefficients(table.matrix.rank, table.spherical).items())
     else:
-        lhs = table._sum((T, 1) for T in spherical_subsets(matrix))
+        lhs = table._sum((T, 1) for T in table.spherical)
     lhs = table._over_denominator(lhs)
     reciprocal = table._over_denominator(table._numerator(full))
     rhs = reciprocal if which == 3 else substitute_inverse(reciprocal)
@@ -450,5 +439,6 @@ def verify_identity(matrix: CoxeterMatrix, which: int) -> IdentityReport:
 
 
 def verify_identities(matrix: CoxeterMatrix) -> list:
-    """Reports for all four identities, in order."""
-    return [verify_identity(matrix, k) for k in (1, 2, 3, 4)]
+    """Reports for all four identities, in order, from one table."""
+    table = GrowthTable(matrix)
+    return [verify_identity(table, k) for k in (1, 2, 3, 4)]

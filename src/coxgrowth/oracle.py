@@ -27,11 +27,6 @@ those v*t; otherwise the earlier v*t already points at v.  New elements are
 therefore created in ShortLex order with canonical word canonical(w) + (s,),
 and no braid class is ever formed.
 
-Braid classes (the closure of a reduced word under replacing an alternating
-factor ``stst...`` of length m(s, t) by ``tsts...``) remain available on
-demand through :meth:`WordOracle.braid_class`, as an independent reference
-whose size is capped; blowing the cap raises :class:`OracleHorizonError`.
-
 Geometric oracle.  :class:`GeometricOracle` enumerates the same balls through
 the contragredient action of W on the Tits cone, in exact integer arithmetic,
 and shares no code with the table; :func:`cross_check_oracles` compares
@@ -55,25 +50,18 @@ from .growth import _cyclotomic
 
 Word = tuple
 
-DEFAULT_CLASS_CAP = 1_000_000
-
 
 class OracleHorizonError(RuntimeError):
-    """An enumeration is out of reach: a braid class outgrew its cap, or a
-    finite group was not exhausted within the requested length."""
-
-
-def _alternating(s, t, m):
-    return tuple(s if i % 2 == 0 else t for i in range(m))
+    """An enumeration is out of reach: a finite group was not exhausted
+    within the requested length."""
 
 
 class WordOracle:
     """Exhaustive ShortLex enumeration for one Coxeter system, by table lookup."""
 
-    def __init__(self, matrix: CoxeterMatrix, class_cap: int = DEFAULT_CLASS_CAP):
+    def __init__(self, matrix: CoxeterMatrix):
         self.matrix = matrix
         self.rank = matrix.rank
-        self.class_cap = class_cap
         orders = matrix.orders
         # per generator s: the (t, m(s, t)) with t != s and a finite order
         self._partners = [[(t, orders[s][t]) for t in range(self.rank)
@@ -150,6 +138,8 @@ class WordOracle:
 
     def sphere_ids(self, k: int) -> range:
         """Ids of the elements of length exactly k, in ShortLex order."""
+        if k < 0:
+            raise ValueError("length must be nonnegative")
         while len(self._starts) <= k + 1 and not self._exhausted:
             self._extend()
         if k + 1 < len(self._starts):
@@ -171,40 +161,7 @@ class WordOracle:
         """Right descent mask of element i."""
         return self._descents[i]
 
-    # -- braid classes and normal forms ------------------------------------
-
-    def braid_class(self, word) -> frozenset:
-        """All words braid-equivalent to the given one: for a reduced word, all
-        reduced words of its element.  Computed on demand, not stored; raises
-        :class:`OracleHorizonError` past ``class_cap`` words."""
-        patterns = {}
-        for s in range(self.rank):
-            for t, m in self._partners[s]:
-                patterns[(s, t)] = (_alternating(s, t, m), _alternating(t, s, m))
-        word = tuple(word)
-        seen = {word}
-        frontier = [word]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                length = len(u)
-                for i in range(length - 1):
-                    pat = patterns.get((u[i], u[i + 1]))
-                    if pat is None:
-                        continue
-                    old, new = pat
-                    m = len(old)
-                    if i + m <= length and u[i:i + m] == old:
-                        v = u[:i] + new + u[i + m:]
-                        if v not in seen:
-                            seen.add(v)
-                            nxt.append(v)
-            if len(seen) > self.class_cap:
-                raise OracleHorizonError(
-                    f"braid class of a word of length {len(word)} exceeds cap {self.class_cap}"
-                )
-            frontier = nxt
-        return frozenset(seen)
+    # -- normal forms --------------------------------------------------------
 
     def canonical(self, word) -> Word:
         """ShortLex-least reduced word of the element the word spells."""

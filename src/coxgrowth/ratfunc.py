@@ -172,7 +172,6 @@ class Poly:
 
 P_ZERO = Poly()
 P_ONE = Poly((1,))
-P_T = Poly((0, 1))
 
 
 def _pseudo_rem(a: Poly, b: Poly) -> Poly:
@@ -255,10 +254,6 @@ class RatFunc:
     def __bool__(self):
         return bool(self.num)
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == P_ONE
-
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -330,7 +325,6 @@ class RatFunc:
 
 
 RF_ZERO = RatFunc(0)
-RF_ONE = RatFunc(1)
 
 
 def _coerce(x):

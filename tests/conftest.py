@@ -1,13 +1,16 @@
-"""Shared fixtures: session-cached oracles and growth tables per catalog entry.
+"""Shared fixtures: session-wide oracles and growth tables per catalog entry.
 
-A word oracle builds its table of elements sphere by sphere and keeps it, so
-every test that needs an oracle for a catalog system goes through
-``oracle_for`` and shares one instance, whose table only grows.
+The package caches nothing between calls, so the test session owns its
+reuse.  A word oracle builds its table of elements sphere by sphere and
+keeps it, so every test that needs an oracle for a catalog system goes
+through ``oracle_for`` and shares one instance, whose table only grows.
+Likewise ``table_for`` builds each catalog system's growth table once per
+session.
 """
 
 import pytest
 
-from coxgrowth import WordOracle, get, growth_table
+from coxgrowth import GrowthTable, WordOracle, get
 
 
 @pytest.fixture(scope="session")
@@ -24,7 +27,11 @@ def oracle_for():
 
 @pytest.fixture(scope="session")
 def table_for():
-    def lookup(name: str):
-        return growth_table(get(name).matrix)
+    cache = {}
+
+    def lookup(name: str) -> GrowthTable:
+        if name not in cache:
+            cache[name] = GrowthTable(get(name).matrix)
+        return cache[name]
 
     return lookup

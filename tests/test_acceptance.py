@@ -9,9 +9,10 @@ small complexes (the A2 hexagon, the infinite-dihedral line).
 """
 
 from coxgrowth import (ENTRIES, classify, coset_decomposition_check,
-                       cross_check_oracles, euler_series, get, growth_table,
-                       nerve_coefficient, nerve_link, panel_union_euler,
+                       cross_check_oracles, euler_series, get,
+                       nerve_coefficients, panel_union_euler,
                        spherical_subsets, verify_identity)
+from coxgrowth.growth import NerveLink
 from coxgrowth.census import check_face_length_drop
 from coxgrowth.ratfunc import series_expand
 
@@ -27,25 +28,25 @@ def report(number, description, failures):
     assert not failures, f"criterion {number}: {failures[:5]}"
 
 
-def test_acceptance_01_identity1_infinite_plus_independent(oracle_for):
+def test_acceptance_01_identity1_infinite_plus_independent(table_for):
     failures = []
     for name in INFINITE_NAMES:
-        m = get(name).matrix
-        rep1 = verify_identity(m, 1)
+        table = table_for(name)
+        rep1 = verify_identity(table, 1)
         if not (rep1.applicable and rep1.holds):
             failures.append(f"{name}: identity 1 does not hold")
-        independent = [verify_identity(m, which) for which in (3, 4)]
+        independent = [verify_identity(table, which) for which in (3, 4)]
         if not any(r.holds and not r.by_construction for r in independent):
             failures.append(f"{name}: no independent identity verified")
     report(1, "identity (1) exact on all infinite systems, "
               "with an independent (3)/(4) check", failures)
 
 
-def test_acceptance_02_identity2_finite_with_bfs_longest(oracle_for):
+def test_acceptance_02_identity2_finite_with_bfs_longest(oracle_for, table_for):
     failures = []
     for name in FINITE_NAMES:
         m = get(name).matrix
-        rep2 = verify_identity(m, 2)
+        rep2 = verify_identity(table_for(name), 2)
         if not (rep2.applicable and rep2.holds):
             failures.append(f"{name}: identity 2 does not hold")
         classifier_m = classify(m, m.full_mask).longest_length
@@ -56,11 +57,11 @@ def test_acceptance_02_identity2_finite_with_bfs_longest(oracle_for):
               "classifier m equals BFS longest length", failures)
 
 
-def test_acceptance_03_identities_3_and_4_all_catalog():
+def test_acceptance_03_identities_3_and_4_all_catalog(table_for):
     failures = []
     for entry in ENTRIES:
         for which in (3, 4):
-            rep = verify_identity(entry.matrix, which)
+            rep = verify_identity(table_for(entry.name), which)
             if not rep.applicable:
                 continue
             if not rep.holds:
@@ -68,12 +69,12 @@ def test_acceptance_03_identities_3_and_4_all_catalog():
     report(3, "identities (3) and (4) exact wherever applicable", failures)
 
 
-def test_acceptance_04_series_match_bfs_spheres(oracle_for):
+def test_acceptance_04_series_match_bfs_spheres(oracle_for, table_for):
     failures = []
     for entry in ENTRIES:
         if entry.matrix.rank > 3:
             continue
-        series = series_expand(growth_table(entry.matrix).series(), 10)
+        series = series_expand(table_for(entry.name).series(), 10)
         spheres = oracle_for(entry.name).sphere_sizes(10)
         if series != spheres:
             failures.append(f"{entry.name}: series {series} vs spheres {spheres}")
@@ -187,10 +188,11 @@ def test_acceptance_10_property_suites(oracle_for):
                 failures.append(f"{name} T={subset}: {rep.violations[:2]}")
     # (d) 1 - chi(link) = (-1)^|T| chi_T on every spherical subset
     for entry in ENTRIES:
-        for t in spherical_subsets(entry.matrix):
+        sph = spherical_subsets(entry.matrix)
+        for t, chi in nerve_coefficients(entry.matrix).items():
             sign = -1 if t.bit_count() & 1 else 1
-            lhs = 1 - nerve_link(entry.matrix, t).euler_characteristic()
-            if lhs != sign * nerve_coefficient(entry.matrix, t):
+            link = NerveLink(t, tuple(u for u in sph if u & t == t and u != t))
+            if 1 - link.euler_characteristic() != sign * chi:
                 failures.append(f"{entry.name} T={t}: link relation fails")
     # (e) the two oracles agree to length 8
     for entry in ENTRIES:

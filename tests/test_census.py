@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 
 from coxgrowth import (census_by_type, enumerate_simplices, euler_series,
-                       euler_series_by_type, get, panel_union_euler)
+                       euler_series_by_type, get, panel_union_euler,
+                       spherical_subsets)
 from coxgrowth.census import (KINDS, check_face_length_drop,
                               check_local_alternating_sum, spherical_chains,
                               valid_type_masks)
@@ -73,7 +74,7 @@ def test_infinite_needs_horizon():
 
 
 def test_spherical_chains_tilde_a2():
-    chains = spherical_chains(get("tilde-a2").matrix)
+    chains = spherical_chains(spherical_subsets(get("tilde-a2").matrix))
     # spherical subsets: {}, 3 singletons, 3 pairs.  Singleton chains: 7.
     # Two-step chains: {}<single (3), {}<pair (3), single<pair (6) = 12.
     # Three-step chains: {}<single<pair = 6.

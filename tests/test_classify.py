@@ -17,9 +17,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxgrowth import (ENTRIES, GeometricOracle, WordOracle, classify, get,
-                       growth_table, is_spherical, parse_coxeter_file,
-                       spherical_subsets)
+from coxgrowth import (ENTRIES, GeometricOracle, GrowthTable, WordOracle, classify,
+                       get, parse_coxeter_file, spherical_subsets)
 from coxgrowth.classify import ComponentType, classify_all, degrees_of
 from coxgrowth.coxeter import INFINITY, coxeter_matrix
 from coxgrowth.ratfunc import series_expand
@@ -150,7 +149,7 @@ def test_spherical_subsets_examples():
     assert spherical_subsets(m) == (0, 1, 2)
     m = get("a2").matrix
     assert spherical_subsets(m) == (0, 1, 2, 3)
-    assert is_spherical(m, 3)
+    assert classify(m, 3).finite
 
 
 def test_spherical_subsets_downward_closed():
@@ -217,7 +216,7 @@ def test_classify_all_matches_each_connected_subset_once(monkeypatch, matrix, co
 
     match = classify_module._match_component
     monkeypatch.setattr(classify_module, "_match_component", counting)
-    classify_all.__wrapped__(matrix)        # bypass the cache: a fresh pass
+    classify_all(matrix)
     assert len(calls) == len(set(calls)) == connected
 
 
@@ -242,7 +241,7 @@ def test_orders_against_word_enumeration(matrix):
     hist = WordOracle(matrix).full_histogram()
     assert sum(hist) == info.order
     assert len(hist) - 1 == info.longest_length
-    assert hist == series_expand(growth_table(matrix).series(), info.longest_length)
+    assert hist == series_expand(GrowthTable(matrix).series(), info.longest_length)
 
 
 # the larger finite types of order <= 10^5 once more, through the floating-
@@ -259,4 +258,4 @@ def test_orders_against_numeric_enumeration(matrix):
     info = classify(matrix, matrix.full_mask)
     sizes = GeometricOracle(matrix).sphere_sizes(info.longest_length)
     assert sum(sizes) == info.order
-    assert sizes == series_expand(growth_table(matrix).series(), info.longest_length)
+    assert sizes == series_expand(GrowthTable(matrix).series(), info.longest_length)

@@ -158,6 +158,15 @@ def test_catalog_listing(capsys):
     assert "triangle-237" in out
 
 
+def test_catalog_self_test_passes(capsys):
+    # the CLI's own end-to-end check: every catalog entry's growth series and
+    # sphere sizes against their frozen values
+    code, doc, _ = run_json(capsys, "catalog", "--self-test")
+    assert code == 0
+    assert len(doc["checks"]) >= 32
+    assert [c for c in doc["checks"] if c["status"] != "pass"] == []
+
+
 def test_parse_error_exit_code_and_message(capsys, tmp_path):
     bad = tmp_path / "bad.cox"
     bad.write_text("rank 2\nm 1 2 broken\n")

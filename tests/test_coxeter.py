@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from coxgrowth.coxeter import (INFINITY, CoxeterMatrix, CoxParseError,
                                RANK_CAP, bits_of, coxeter_matrix,
                                diagram_components, format_subset, mask_of,
-                               parse_coxeter_file, restrict,
+                               parse_coxeter_file,
                                serialize_coxeter, submasks)
 
 
@@ -129,17 +129,6 @@ def test_submasks_complete(mask):
     assert len(subs) == 1 << mask.bit_count()
     assert len(set(subs)) == len(subs)
     assert all(s & mask == s for s in subs)
-
-
-def test_restrict():
-    m = coxeter_matrix(3, {(0, 1): 3, (1, 2): 5})
-    sub = restrict(m, 0b110)
-    assert sub.matrix.rank == 2
-    assert sub.matrix.order(0, 1) == 5
-    assert sub.parent_index == (1, 2)
-    assert restrict(m, 0).matrix.rank == 0
-    with pytest.raises(ValueError):
-        restrict(m, 0b1000)
 
 
 def test_diagram_components():

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxgrowth import (ENTRIES, INFINITY, InvariantViolation, WordOracle,
-                       classify, get, growth_series, growth_table,
-                       nerve_coefficient, nerve_coefficients, nerve_link,
-                       spherical_subsets,
-                       verify_identities, verify_identity)
+                       classify, get, growth_series, nerve_coefficients,
+                       spherical_subsets, verify_identities, verify_identity)
 from coxgrowth import growth
 from coxgrowth.coxeter import coxeter_matrix, submasks
 from coxgrowth.classify import classify_all
-from coxgrowth.growth import GrowthTable
+from coxgrowth.growth import GrowthTable, NerveLink
 from coxgrowth.ratfunc import (Poly, RatFunc, format_ratfunc, series_expand,
                                substitute_inverse)
 
@@ -55,11 +53,6 @@ def test_growth_series_convenience():
     assert growth_series(m, 0) == RatFunc(Poly((1,)), Poly((1,)))
 
 
-def test_table_is_cached():
-    m = get("a3").matrix
-    assert growth_table(m) is growth_table(m)
-
-
 def test_construction_order_is_irrelevant():
     # the same system built from scratch twice, and via a relabelling
     base = coxeter_matrix(3, {(0, 1): 4, (1, 2): 4})
@@ -74,36 +67,31 @@ def test_construction_order_is_irrelevant():
 # ---------------------------------------------------------------------------
 
 def test_nerve_coefficient_examples():
-    m = get("inf-dihedral").matrix
+    chis = nerve_coefficients(get("inf-dihedral").matrix)
     # spherical supersets of {}: {}, {1}, {2}  ->  1 - 1 - 1 = -1
-    assert nerve_coefficient(m, 0) == -1
-    assert nerve_coefficient(m, 0b01) == -1  # supersets: {1} alone
-    m = get("tilde-a2").matrix
-    assert nerve_coefficient(m, 0) == 1  # 1 - 3 + 3
-    assert nerve_coefficient(m, 0b001) == 1  # -1 + 2, sign (-1)^1 applied... direct sum
-    m = get("a2").matrix
-    assert nerve_coefficient(m, 0b11) == 1
-    assert nerve_coefficient(m, 0) == 0  # finite group: chi of a simplex pair
+    assert chis[0] == -1
+    assert chis[0b01] == -1  # supersets: {1} alone
+    chis = nerve_coefficients(get("tilde-a2").matrix)
+    assert chis[0] == 1  # 1 - 3 + 3
+    assert chis[0b001] == 1  # -1 + 2, sign (-1)^1 applied... direct sum
+    chis = nerve_coefficients(get("a2").matrix)
+    assert chis[0b11] == 1
+    assert chis[0] == 0  # finite group: chi of a simplex pair
+    assert 0b11 not in nerve_coefficients(get("inf-dihedral").matrix)   # not spherical
 
 
-def test_nerve_coefficient_rejects_nonspherical():
-    m = get("inf-dihedral").matrix
-    with pytest.raises(ValueError):
-        nerve_coefficient(m, 0b11)
-
-
-def _nerve_coefficient_by_definition(matrix, subset):
+def _nerve_coefficient_by_definition(spherical, subset):
     # the definitional sum over spherical supersets, O(|Sph|) per subset
     return sum(-1 if u.bit_count() & 1 else 1
-               for u in spherical_subsets(matrix) if u & subset == subset)
+               for u in spherical if u & subset == subset)
 
 
 def _assert_nerve_coefficients_match(matrix):
     chis = nerve_coefficients(matrix)
-    assert list(chis) == list(spherical_subsets(matrix))
+    spherical = spherical_subsets(matrix)
+    assert list(chis) == list(spherical)
     for t, chi in chis.items():
-        assert chi == _nerve_coefficient_by_definition(matrix, t), (matrix, t)
-        assert nerve_coefficient(matrix, t) == chi
+        assert chi == _nerve_coefficient_by_definition(spherical, t), (matrix, t)
 
 
 def test_nerve_coefficients_match_definition_on_catalog():
@@ -125,24 +113,29 @@ def test_nerve_coefficients_match_definition_on_random_systems(matrix):
     _assert_nerve_coefficients_match(matrix)
 
 
+def nerve_link(spherical, subset):
+    """The link of a spherical subset: its strict supersets among ``spherical``."""
+    return NerveLink(subset, tuple(u for u in spherical
+                                   if u & subset == subset and u != subset))
+
+
 def test_nerve_link_euler():
-    m = get("tilde-a2").matrix
+    sph = spherical_subsets(get("tilde-a2").matrix)
     # link of {} is the full nerve: a 6-cycle (3 vertices + 3 edges... a circle)
-    link = nerve_link(m, 0)
+    link = nerve_link(sph, 0)
     assert link.euler_characteristic() == 0
     # link of a vertex in the circle: two points
-    assert nerve_link(m, 0b001).euler_characteristic() == 2
+    assert nerve_link(sph, 0b001).euler_characteristic() == 2
     # link of an edge is empty
-    assert nerve_link(m, 0b011).euler_characteristic() == 0
-    assert nerve_link(m, 0b011).simplices == ()
+    assert nerve_link(sph, 0b011).euler_characteristic() == 0
+    assert nerve_link(sph, 0b011).simplices == ()
 
 
 def test_link_euler_relation_all_catalog():
     for entry in ENTRIES:
-        m = entry.matrix
-        for t in spherical_subsets(m):
-            chi = nerve_coefficient(m, t)
-            link = nerve_link(m, t)
+        chis = nerve_coefficients(entry.matrix)
+        for t, chi in chis.items():
+            link = nerve_link(tuple(chis), t)
             sign = -1 if t.bit_count() & 1 else 1
             assert 1 - link.euler_characteristic() == sign * chi, (entry.name, t)
 
@@ -171,19 +164,19 @@ def test_identity_reports_finite():
         assert by_id[4].applicable and by_id[4].holds
 
 
-def test_identity_values_infinite_dihedral():
-    m = get("inf-dihedral").matrix
-    rep = verify_identity(m, 3)
+def test_identity_values_infinite_dihedral(table_for):
+    table = table_for("inf-dihedral")
+    rep = verify_identity(table, 3)
     assert rep.lhs == RatFunc(Poly((1, -1)), Poly((1, 1)))
-    rep4 = verify_identity(m, 4)
+    rep4 = verify_identity(table, 4)
     # 1/W(1/t) = (t-1)/(t+1): differs from 1/W(t) by sign
     assert rep4.lhs == RatFunc(Poly((-1, 1)), Poly((1, 1)))
     assert rep4.lhs == -rep.lhs
 
 
-def test_identity_two_matches_longest_length():
+def test_identity_two_matches_longest_length(table_for):
     m = get("h3").matrix
-    rep = verify_identity(m, 2)
+    rep = verify_identity(table_for("h3"), 2)
     # rhs = t^15 / W(t)
     assert rep.rhs == RatFunc.t_power(15) / growth_series(m)
 
@@ -314,13 +307,14 @@ def test_denominator_missing_a_factor_is_caught(monkeypatch, name):
     # numerator is not a polynomial: the table must raise, not return a series
     matrix = get(name).matrix
     full = growth._common_denominator
-    denominator = full({classify(matrix, t).degrees for t in spherical_subsets(matrix)})
+    denominator = full(growth._cyclotomic_factors(
+        {classify(matrix, t).degrees for t in spherical_subsets(matrix)}))
     factors = [k for k in range(2, 31)
                if _divides(growth._cyclotomic(k, {}), denominator)]
     assert factors
     for k in factors:
         monkeypatch.setattr(growth, "_common_denominator",
-                            lambda degrees, k=k: full(degrees).exact_div(growth._cyclotomic(k, {})))
+                            lambda factors, k=k: full(factors).exact_div(growth._cyclotomic(k, {})))
         with pytest.raises(InvariantViolation):
             GrowthTable(matrix)
 
@@ -362,16 +356,13 @@ def _assert_width_independent(matrix):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(growth, "_DIGIT_BYTES", 1)
         narrow = GrowthTable(matrix)
-        mp.setattr(growth, "growth_table", lambda m: narrow)
-        narrow_reports = verify_identities(matrix)
     assert max(narrow._bounds) < narrow._packing.half
     assert narrow._bounds == wide._bounds, matrix
     for t in range(1 << matrix.rank):
         assert narrow._numerator(t) == wide._numerator(t), (matrix, t)
         assert narrow.series(t) == wide.series(t), (matrix, t)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(growth, "growth_table", lambda m: wide)
-        assert narrow_reports == verify_identities(matrix), matrix
+    for k in (1, 2, 3, 4):
+        assert verify_identity(narrow, k) == verify_identity(wide, k), (matrix, k)
     return narrow
 
 
@@ -414,7 +405,7 @@ def _inverse_by_gcd(num, den):
 def test_gcd_free_forms_match_gcd_path_on_catalog():
     for entry in ENTRIES:
         matrix = entry.matrix
-        table = growth_table(matrix)
+        table = GrowthTable(matrix)
         L = table.denominator
         full = matrix.full_mask
         signed = {t: table._numerator(t) * (-1) ** t.bit_count() for t in range(full + 1)}
@@ -432,7 +423,7 @@ def test_gcd_free_forms_match_gcd_path_on_catalog():
             4: lambda: (RatFunc(sum((signed[t] for t in spherical_subsets(matrix)), Poly()), L),
                         _inverse_by_gcd(table._numerator(full), L)),
         }
-        for rep in verify_identities(matrix):
+        for rep in (verify_identity(table, k) for k in (1, 2, 3, 4)):
             if rep.applicable:
                 assert (rep.lhs, rep.rhs) == by_gcd[rep.identity](), (entry.name, rep.identity)
 

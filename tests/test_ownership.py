@@ -1,0 +1,109 @@
+"""Ownership of derived objects: nothing outlives the call that built it.
+
+A system's classification, growth table, nerve coefficients and chains
+belong to one call.  Each public entry point classifies its system once,
+builds at most one growth table and passes both down; the package keeps no
+cache, so nothing it built stays alive after it returns.
+"""
+
+import gc
+import re
+import sys
+import weakref
+from pathlib import Path
+
+import pytest
+
+from coxgrowth import (GrowthTable, census_by_type, coxeter_matrix, get, growth_series,
+                       serialize_coxeter, verify_identities)
+from coxgrowth.census import KINDS
+from coxgrowth.classify import classify_all
+from coxgrowth.cli import main
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coxgrowth"
+
+
+def _path(n):
+    return coxeter_matrix(n, {(i, i + 1): 3 for i in range(n - 1)})
+
+
+@pytest.fixture
+def tables_built(monkeypatch):
+    """A weak reference to every GrowthTable built while the test runs."""
+    refs = []
+    init = GrowthTable.__init__
+
+    def counting(self, matrix):
+        refs.append(weakref.ref(self))
+        init(self, matrix)
+
+    monkeypatch.setattr(GrowthTable, "__init__", counting)
+    return refs
+
+
+@pytest.fixture
+def classify_all_calls(monkeypatch):
+    """The matrices of every classify_all call, wherever the package calls it from."""
+    calls = []
+    original = classify_all
+
+    def counting(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name == "coxgrowth" or name.startswith("coxgrowth."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_no_table_outlives_its_call(tables_built, capsys):
+    calls = [
+        lambda: verify_identities(_path(5)),
+        lambda: growth_series(get("tilde-a2").matrix),
+        lambda: census_by_type(get("racg-4cycle").matrix, "tits", 4),
+        lambda: main(["catalog", "--self-test"]),
+    ]
+    for call in calls:
+        before = len(tables_built)
+        call()
+        assert len(tables_built) > before
+    capsys.readouterr()
+    gc.collect()
+    assert [ref for ref in tables_built if ref() is not None] == []
+
+
+def test_verify_identities_builds_one_table_from_one_classification(tables_built,
+                                                                    classify_all_calls):
+    reports = verify_identities(_path(6))
+    assert [r.holds for r in reports] == [None, True, True, True]
+    assert len(tables_built) == 1
+    assert len(classify_all_calls) == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_census_by_type_builds_one_table_from_one_classification(kind, tables_built,
+                                                                 classify_all_calls):
+    slices = census_by_type(get("tilde-a2").matrix, kind, 4)
+    assert all(tc.matches for tc in slices)
+    assert len(tables_built) == 1
+    assert len(classify_all_calls) == 1
+
+
+def test_chi_classifies_once_not_per_subset(tmp_path, classify_all_calls, capsys):
+    system = tmp_path / "a8.cox"
+    system.write_text(serialize_coxeter(_path(8)), encoding="utf-8")
+    assert main(["chi", str(system), "--json"]) == 0
+    capsys.readouterr()
+    assert 1 <= len(classify_all_calls) <= 2
+
+
+def test_package_has_no_function_cache():
+    pattern = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|from functools import[^\n]*\bcache\b")
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for source in sources:
+        text = source.read_text(encoding="utf-8")
+        assert not pattern.search(text), source.name
