@@ -20,12 +20,16 @@ element of the coset).  ``euler_series`` collects sum (-1)^dim t^length over
 all records; the per-type slices have exact closed forms in terms of the
 growth table.
 
-One private enumerator walks the census simplex by simplex and feeds every
-consumer: ``enumerate_simplices`` (the sorted records), ``euler_series``
-(the total) and ``census_by_type``, the one-pass API that fills every type's
-slice and record count at once and attaches its closed form for comparison.
-``euler_series_by_type`` makes the same pass but builds the closed form of
-its one type only.
+A coset w * W_T is recorded at its shortest element u, and u is shortest
+exactly when its right descent set misses T, so the records at u depend on u
+only through its length and descent mask.  The counters -- ``census_by_type``,
+the one-pass API that fills every type's slice and record count at once and
+attaches its closed form for comparison, ``euler_series_by_type`` (the same
+pass, with the closed form of its one type only) and ``euler_series`` (the
+total) -- therefore walk the (length, descent-mask) classes of the ball and
+take each class once, weighted by its size.  Only ``enumerate_simplices``
+walks the census record by record, because its records carry the canonical
+word of each coset.  Both walks read one definition of each type's faces.
 
 Each public call classifies its system once (:func:`classify_all`; the
 census-by-type calls read the classification of the one growth table they
@@ -114,35 +118,78 @@ def _resolve(matrix: CoxeterMatrix, kind: str, horizon, oracle, classified):
     return types, horizon, oracle
 
 
+def _faces(matrix: CoxeterMatrix, kind: str, classified) -> dict:
+    """Each valid type's faces, in valid-type order: type -> (shift,
+    ((chain, dim), ...)).
+
+    A face of type T recorded at a chamber u has length value length(u) +
+    shift, the same shift for every face of T: 0 for coxeter and davis, the
+    longest length of W_T for tits.  Davis faces are the spherical chains
+    starting at T; the other kinds have one face per type, with no chain.
+    """
+    infos, spherical = classified
+    if kind == "davis":
+        chains = {}
+        for chain in spherical_chains(spherical):
+            chains.setdefault(chain[0], []).append((chain, len(chain) - 1))
+        return {t: (0, tuple(c)) for t, c in chains.items()}
+    return {t: (infos[t].longest_length if kind == "tits" else 0,
+                ((None, matrix.rank - t.bit_count() - 1),))
+            for t in _valid_types(matrix, kind, spherical)}
+
+
+def _types_at(matrix: CoxeterMatrix, kind: str, descents: Mask, faces: dict):
+    """The types recorded at a chamber with these descents: the valid types
+    inside the complement of the descent set."""
+    free = matrix.full_mask & ~descents
+    types = submasks(free) if kind == "coxeter" else faces
+    return (t for t in types if t & free == t and t in faces)
+
+
 def _simplices(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOracle,
                classified):
     """Yield (rep id, type_mask, chain, dim, length_value) for every simplex of
     the census with length value <= horizon, in no particular order.
 
     A coset of type T is recorded by its shortest element u, recognized by its
-    descent set missing T entirely, so the types at u are the submasks of the
-    complement of its descent set.  Each type carries its faces as (chain,
-    dim, shift), the length value being length(u) + shift.  The arguments are
-    those returned by :func:`_resolve`, and the classification it read.
+    descent set missing T entirely (Bjorner-Brenti, *Combinatorics of Coxeter
+    Groups*, 2.4), so the types at u are the submasks of the complement of its
+    descent set.  The arguments are those returned by :func:`_resolve`, and
+    the classification it read.
     """
-    infos, spherical = classified
-    faces = {}
-    if kind == "davis":
-        for chain in spherical_chains(spherical):
-            faces.setdefault(chain[0], []).append((chain, len(chain) - 1, 0))
-    else:
-        for t in _valid_types(matrix, kind, spherical):
-            shift = infos[t].longest_length if kind == "tits" else 0
-            faces[t] = [(None, matrix.rank - t.bit_count() - 1, shift)]
+    faces = _faces(matrix, kind, classified)
     for k in range(horizon + 1):
         for i in oracle.sphere_ids(k):
-            free = matrix.full_mask & ~oracle.descents(i)
-            types = submasks(free) if kind == "coxeter" else faces
-            for t in types:
-                if t & free == t:
-                    for chain, dim, shift in faces.get(t, ()):
-                        if k + shift <= horizon:
-                            yield i, t, chain, dim, k + shift
+            for t in _types_at(matrix, kind, oracle.descents(i), faces):
+                shift, chains = faces[t]
+                if k + shift <= horizon:
+                    for chain, dim in chains:
+                        yield i, t, chain, dim, k + shift
+
+
+def _class_totals(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOracle,
+                  classified):
+    """Every type's census slice and record count, from the (length, descent
+    mask) classes of the ball rather than its elements, in valid-type order.
+
+    The records of type T at a chamber depend on the chamber only through
+    its length k and descent mask d (see :func:`_simplices`), so a class of
+    n chambers adds n * sum (-1)^dim over T's faces to T's slice at k +
+    shift, and n * (number of faces) to its record count.
+    """
+    faces = _faces(matrix, kind, classified)
+    folded = {t: (shift, sum(_sign(dim) for _, dim in chains), len(chains))
+              for t, (shift, chains) in faces.items()}
+    slices = {t: [0] * (horizon + 1) for t in faces}
+    counts = dict.fromkeys(faces, 0)
+    for k in range(horizon + 1):
+        for d, n in oracle.descent_counts(k).items():
+            for t in _types_at(matrix, kind, d, faces):
+                shift, signed, size = folded[t]
+                if k + shift <= horizon:
+                    slices[t][k + shift] += signed * n
+                    counts[t] += size * n
+    return slices, counts
 
 
 def enumerate_simplices(matrix: CoxeterMatrix, kind: str, horizon: int = None,
@@ -165,9 +212,11 @@ def euler_series(matrix: CoxeterMatrix, kind: str, horizon: int = None,
     """Coefficients of sum (-1)^dim t^length over the census, up to the horizon."""
     classified = classify_all(matrix)
     _, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
+    slices, _ = _class_totals(matrix, kind, horizon, oracle, classified)
     coeffs = [0] * (horizon + 1)
-    for *_, dim, length in _simplices(matrix, kind, horizon, oracle, classified):
-        coeffs[length] += _sign(dim)
+    for census in slices.values():
+        for length, c in enumerate(census):
+            coeffs[length] += c
     return coeffs
 
 
@@ -211,11 +260,7 @@ def _type_slices(table: GrowthTable, kind: str, horizon, oracle):
     is: (types, horizon, slice per type, records per type)."""
     matrix, classified = table.matrix, (table.infos, table.spherical)
     types, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
-    slices = {t: [0] * (horizon + 1) for t in types}
-    counts = dict.fromkeys(types, 0)
-    for _, t, _, dim, length in _simplices(matrix, kind, horizon, oracle, classified):
-        slices[t][length] += _sign(dim)
-        counts[t] += 1
+    slices, counts = _class_totals(matrix, kind, horizon, oracle, classified)
     return types, horizon, slices, counts
 
 

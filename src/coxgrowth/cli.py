@@ -176,8 +176,9 @@ def _cmd_oracle(args):
     sizes = oracle.sphere_sizes(args.max_length)
     lines = [f"sphere sizes: {sizes}"]
     checks = []
-    masks = Counter(oracle.descents(i)
-                    for k in range(args.max_length + 1) for i in oracle.sphere_ids(k))
+    masks = Counter()
+    for k in range(args.max_length + 1):
+        masks.update(oracle.descent_counts(k))
     bad = sum(count for mask, count in masks.items()
               if not classify(matrix, mask).finite)
     checks.append(_check("descent sets are spherical",

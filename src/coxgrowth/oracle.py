@@ -10,8 +10,9 @@ entry at its last letter, so :meth:`WordOracle.word` rebuilds a canonical
 word from the parent chain only when a caller asks for one, and a word is
 turned into an id by walking the table from the identity.  Multiplication
 and descent sets are table lookups, and callers that iterate ids
-(:meth:`WordOracle.sphere_ids`, :meth:`WordOracle.descents`) build no word
-at all.
+(:meth:`WordOracle.sphere_ids`, :meth:`WordOracle.descents`) or count a
+sphere's descent masks (:meth:`WordOracle.descent_counts`) build no word at
+all.
 
 Sphere k + 1 is built from sphere k alone.  Walk sphere k in ShortLex order;
 for an element w and an ascent s, the element v = w*s has s as a descent with
@@ -41,7 +42,9 @@ bracket of c, halved until the sign is certain.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from math import lcm
 
 from .classify import classify
@@ -160,6 +163,11 @@ class WordOracle:
     def descents(self, i: int) -> Mask:
         """Right descent mask of element i."""
         return self._descents[i]
+
+    def descent_counts(self, k: int) -> Counter:
+        """Descent mask -> number of elements of length k with that mask."""
+        ids = self.sphere_ids(k)
+        return Counter(islice(self._descents, ids.start, ids.stop))
 
     # -- normal forms --------------------------------------------------------
 

@@ -14,8 +14,9 @@ known to be coprime already, :meth:`RatFunc.from_coprime` normalises only
 content and sign; :func:`cancel_factors` supplies such a pair without a gcd
 when one side is a product of known irreducible factors, such as the
 cyclotomic common denominator of a growth table.  Everything runs on
-Python's unbounded ints; series extraction goes through
-``fractions.Fraction`` internally and is exact.
+Python's unbounded ints, series extraction included: its recurrence
+divides by the denominator's constant term in Z and stops at the first
+coefficient that is not an integer.
 """
 
 from __future__ import annotations
@@ -348,18 +349,17 @@ def series_expand(r: RatFunc, n: int) -> list:
     if den[0] == 0:
         raise ValueError("not a power series at 0 (denominator vanishes)")
     num = r.num.coeffs
-    d0 = Fraction(den[0])
-    acc = []
-    for k in range(n + 1):
-        c = Fraction(num[k]) if k < len(num) else Fraction(0)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            c -= den[j] * acc[k - j]
-        acc.append(c / d0)
+    d0 = den[0]
     out = []
-    for k, c in enumerate(acc):
-        if c.denominator != 1:
-            raise ValueError(f"series coefficient of t^{k} is not an integer: {c}")
-        out.append(int(c))
+    for k in range(n + 1):
+        c = num[k] if k < len(num) else 0
+        for j in range(1, min(k, len(den) - 1) + 1):
+            c -= den[j] * out[k - j]
+        q, rem = divmod(c, d0)
+        if rem:
+            raise ValueError(f"series coefficient of t^{k} is not an integer: "
+                             f"{Fraction(c, d0)}")
+        out.append(q)
     return out
 
 

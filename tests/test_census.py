@@ -3,13 +3,15 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coxgrowth import (census_by_type, enumerate_simplices, euler_series,
-                       euler_series_by_type, get, panel_union_euler,
-                       spherical_subsets)
+from coxgrowth import (ENTRIES, WordOracle, census_by_type, classify,
+                       enumerate_simplices, euler_series, euler_series_by_type,
+                       get, panel_union_euler, spherical_subsets)
 from coxgrowth.census import (KINDS, check_face_length_drop,
                               check_local_alternating_sum, spherical_chains,
                               valid_type_masks)
+from test_growth import systems_up_to_rank_5
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,87 @@ def test_euler_series_prefix_stability(oracle_for):
     short = euler_series(m, "coxeter", 4, o)
     longer = euler_series(m, "coxeter", 7, o)
     assert longer[:5] == short
+
+
+# ---------------------------------------------------------------------------
+# the class walk against the record walk
+# ---------------------------------------------------------------------------
+
+def _kinds(matrix):
+    if classify(matrix, matrix.full_mask).finite:
+        return ("coxeter", "tits")
+    return KINDS
+
+
+def _record_totals(matrix, kind, horizon, oracle):
+    """Per type, the signed slice and the record count summed from
+    ``enumerate_simplices`` one record at a time."""
+    slices = {t: [0] * (horizon + 1) for t in valid_type_masks(matrix, kind)}
+    counts = dict.fromkeys(slices, 0)
+    for rec in enumerate_simplices(matrix, kind, horizon, oracle):
+        slices[rec.type_mask][rec.length_value] += -1 if rec.dim & 1 else 1
+        counts[rec.type_mask] += 1
+    return slices, counts
+
+
+def _assert_classes_match_records(matrix, kind, horizon, oracle):
+    got = census_by_type(matrix, kind, horizon, oracle)
+    if horizon is None:
+        horizon = len(got[0].census) - 1
+    slices, counts = _record_totals(matrix, kind, horizon, oracle)
+    assert [tc.type_mask for tc in got] == list(slices)
+    for tc in got:
+        assert list(tc.census) == slices[tc.type_mask], (kind, horizon, tc.type_mask)
+        assert tc.records == counts[tc.type_mask], (kind, horizon, tc.type_mask)
+    total = [sum(column) for column in zip(*slices.values())]
+    assert euler_series(matrix, kind, horizon, oracle) == total
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
+def test_census_by_type_matches_record_walk_on_catalog(entry, oracle_for):
+    m = entry.matrix
+    horizons = (0, 1, 5) + ((None,) if classify(m, m.full_mask).finite else ())
+    for kind in _kinds(m):
+        for horizon in horizons:
+            _assert_classes_match_records(m, kind, horizon, oracle_for(entry.name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems_up_to_rank_5().filter(lambda m: m.rank <= 4),
+       st.integers(min_value=0, max_value=4))
+def test_census_by_type_matches_record_walk_on_random_systems(matrix, horizon):
+    oracle = WordOracle(matrix)
+    for kind in _kinds(matrix):
+        _assert_classes_match_records(matrix, kind, horizon, oracle)
+
+
+def test_census_counters_read_no_element(monkeypatch):
+    # the counters see the ball only through its (length, descent mask)
+    # classes: no per-element descent set and no word
+    m = get("tilde-a2").matrix
+    oracle = WordOracle(m)
+    expected = {}
+    for kind in KINDS:
+        slices, counts = _record_totals(m, kind, 5, oracle)
+        expected[kind] = ([(t, tuple(c), counts[t]) for t, c in slices.items()],
+                          [sum(column) for column in zip(*slices.values())])
+
+    def refuse(self, *args):
+        raise AssertionError("the census read a single element")
+
+    monkeypatch.setattr(WordOracle, "descents", refuse)
+    monkeypatch.setattr(WordOracle, "word", refuse)
+    for kind in KINDS:
+        per_type, total = expected[kind]
+        for o in (oracle, WordOracle(m)):
+            got = census_by_type(m, kind, 5, o)
+            assert [(tc.type_mask, tc.census, tc.records) for tc in got] == per_type
+            assert all(tc.matches for tc in got)
+            for t, census, records in per_type:
+                tc = euler_series_by_type(m, kind, t, 5, o)
+                assert (tc.census, tc.records) == (census, records)
+            assert euler_series(m, kind, 5, o) == total
+    assert expected["coxeter"][1] == expected["davis"][1] == [1, 0, 0, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

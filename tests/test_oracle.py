@@ -3,6 +3,7 @@ the exact Tits-cone oracle with its arithmetic."""
 
 import itertools
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -131,6 +132,22 @@ def test_negative_sphere_length_is_rejected():
             o.sphere_ids(k)
     with pytest.raises(ValueError, match="length must be nonnegative"):
         WordOracle(get("a2").matrix).sphere(-1)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
+def test_descent_counts_match_per_id_descents(entry, oracle_for):
+    o = oracle_for(entry.name)
+    for k in range(11):
+        assert o.descent_counts(k) == Counter(o.descents(i) for i in o.sphere_ids(k)), k
+    longest = GrowthTable(entry.matrix).infos[entry.matrix.full_mask].longest_length
+    if longest is not None:
+        # past a finite group's longest element every sphere is empty
+        assert sum(o.descent_counts(longest).values()) == 1
+        for k in (longest + 1, longest + 5):
+            assert o.descent_counts(k) == Counter()
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            o.descent_counts(k)
 
 
 def test_full_histogram_h3(oracle_for):

@@ -251,6 +251,41 @@ def test_series_expand_requires_unit_at_zero():
         series_expand(RatFunc(P(1), P(0, 1)), 3)
 
 
+def test_series_expand_rejects_fraction_at_t0():
+    with pytest.raises(ValueError,
+                       match=r"series coefficient of t\^0 is not an integer: 1/2$"):
+        series_expand(RatFunc(P(1), P(2, -1)), 3)
+
+
+def _fraction_series(r, n):
+    """The first n+1 coefficients of r, expanded in exact Fractions."""
+    den = list(r.den.coeffs) + [0] * (n + 1)
+    num = list(r.num.coeffs) + [0] * (n + 1)
+    acc = []
+    for k in range(n + 1):
+        c = Fraction(num[k])
+        for j in range(1, k + 1):
+            c -= den[j] * acc[k - j]
+        acc.append(c / den[0])
+    return acc
+
+
+@pytest.mark.parametrize("num,den,k,value", [
+    ((2, 0, 0, 1), (2, -2), 3, "3/2"),       # (2 + t^3) / (2 (1 - t))
+    ((-2, 0, 0, 1), (2, -2), 3, "-1/2"),
+    ((3, 3, 3, 3, 1), (3, -3), 4, "13/3"),
+])
+def test_series_expand_names_first_fraction(num, den, k, value):
+    r = RatFunc(P(*num), P(*den))
+    reference = _fraction_series(r, 8)
+    first = next(j for j, c in enumerate(reference) if c.denominator != 1)
+    assert (first, reference[first]) == (k, Fraction(value))
+    assert series_expand(r, k - 1) == reference[:k]
+    with pytest.raises(ValueError,
+                       match=rf"series coefficient of t\^{k} is not an integer: {value}$"):
+        series_expand(r, 8)
+
+
 @given(rat_strategy())
 def test_series_expand_matches_rational_evaluation(r):
     # reference expansion in exact Fractions, then multiply back
