@@ -2,9 +2,12 @@
 
 The connected diagrams of finite Coxeter groups form a short catalog, so a
 subgroup is finite exactly when every connected component of its induced
-diagram is isomorphic (as an edge-labelled graph) to a catalog entry.
-Matching runs a degree/label prefilter and then an explicit isomorphism
-search.  :func:`classify` decides one subset this way and is the reference.
+diagram is isomorphic (as an edge-labelled graph) to a catalog entry.  The
+catalog is a list of shapes, so a component is matched by reading its shape:
+a path is named by its label sequence, a tree with one branch node by the
+lengths of its three arms, and anything else is infinite
+(:func:`_match_component`).  :func:`classify` decides one subset this way
+and is the reference.
 
 Consumers that need every subset (the growth table, the spherical subsets)
 read one incremental pass, :func:`classify_all`, which visits the masks in
@@ -73,10 +76,6 @@ class FiniteTypeInfo:
 _INFINITE = FiniteTypeInfo(False, (), None, None)
 
 
-def _path(labels):
-    return tuple((i, i + 1, m) for i, m in enumerate(labels))
-
-
 _EXCEPTIONAL_DEGREES = {
     "E6": (2, 5, 6, 8, 9, 12),
     "E7": (2, 6, 8, 10, 12, 14, 18),
@@ -100,114 +99,79 @@ def degrees_of(label: str, rank: int, parameter: int = 0) -> tuple:
     return _EXCEPTIONAL_DEGREES[label]
 
 
-def _candidate_diagrams(n):
-    """Catalog diagrams at rank n >= 3 as (label, edges)."""
-    yield ("A", _path((3,) * (n - 1)))
-    yield ("B", _path((3,) * (n - 2) + (4,)))
-    if n >= 4:
-        yield ("D", ((0, 2, 3), (1, 2, 3)) + tuple((i, i + 1, 3) for i in range(2, n - 1)))
-    if n == 3:
-        yield ("H3", _path((5, 3)))
-    if n == 4:
-        yield ("F4", _path((3, 4, 3)))
-        yield ("H4", _path((5, 3, 3)))
-    if n == 6:
-        yield ("E6", _path((3, 3, 3, 3)) + ((2, 5, 3),))
-    if n == 7:
-        yield ("E7", _path((3, 3, 3, 3, 3)) + ((2, 6, 3),))
-    if n == 8:
-        yield ("E8", _path((3, 3, 3, 3, 3, 3)) + ((2, 7, 3),))
-
-
-def _isomorphic(n, edges, cand_edges):
-    """Exact isomorphism of two edge-labelled graphs on n vertices.
-
-    ``edges`` maps (a, b) with a < b to the label; ``cand_edges`` is a tuple
-    of (a, b, label).  Both graphs here are trees with the same label
-    multiset, so the backtracking search is tiny.
-    """
-    cand = {}
-    cadj = [[] for _ in range(n)]
-    for a, b, m in cand_edges:
-        cand[(min(a, b), max(a, b))] = m
-        cadj[a].append((b, m))
-        cadj[b].append((a, m))
-
-    adj = [[] for _ in range(n)]
-    for (a, b), m in edges.items():
-        adj[a].append((b, m))
-        adj[b].append((a, m))
-
-    def profile(neighbors):
-        return sorted(m for _, m in neighbors)
-
-    cand_profiles = [profile(cadj[v]) for v in range(n)]
-    profiles = [profile(adj[v]) for v in range(n)]
-    if sorted(cand_profiles) != sorted(profiles):
-        return False
-
-    assignment = [None] * n       # candidate vertex -> component vertex
-    used = [False] * n
-
-    def place(k):
-        if k == n:
-            return True
-        for v in range(n):
-            if used[v] or profiles[v] != cand_profiles[k]:
-                continue
-            ok = True
-            for u, m in cadj[k]:
-                if u < k:
-                    w = assignment[u]
-                    key = (min(v, w), max(v, w))
-                    if edges.get(key) != m:
-                        ok = False
-                        break
-            if ok:
-                assignment[k] = v
-                used[v] = True
-                if place(k + 1):
-                    return True
-                used[v] = False
-        return False
-
-    return place(0)
+_PATHS = {(5, 3): "H3", (5, 3, 3): "H4", (3, 4, 3): "F4"}   # beyond A_n and B_n
+_FORKS = {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}  # beyond D_n
 
 
 def _match_component(matrix, comp):
-    """Match one connected component against the catalog; None if infinite."""
+    """Match one connected component against the catalog; None if infinite.
+
+    Coxeter's classification (Humphreys, *Reflection Groups and Coxeter
+    Groups*, 1990, 2.4-2.7) lists the finite types by shape.  One node is
+    A1.  Two nodes joined by m are A2 (m = 3), B2 (m = 4) or I2(m) (m >= 5),
+    and infinite for m = INFINITY.  On n >= 3 nodes the diagram is infinite
+    unless it is a tree (n - 1 edges) with every label at most 5 and no node
+    of degree 4 or more, and then it is finite exactly when it is
+
+    - a path whose labels, read from the end that gives the larger sequence
+      (a lone 4 or 5 at an end comes first), are (3, ..., 3) for A_n,
+      (4, 3, ..., 3) for B_n, (5, 3) for H3, (5, 3, 3) for H4 or (3, 4, 3)
+      for F4; or
+    - a tree with one branch node and every label 3, whose three arms,
+      sorted by their number of nodes, are (1, 1, k) for D_{k+3}, or
+      (1, 2, 2), (1, 2, 3), (1, 2, 4) for E6, E7, E8.
+    """
     verts = bits_of(comp)
     n = len(verts)
+    orders = matrix.orders
     if n == 1:
         return ComponentType("A", 1, 0, comp, degrees_of("A", 1))
+    if n == 2:
+        m = orders[verts[0]][verts[1]]
+        if m is INFINITY:
+            return None
+        label, parameter = {3: ("A", 0), 4: ("B", 0)}.get(m, ("I2", m))
+        return ComponentType(label, 2, parameter, comp, degrees_of(label, 2, parameter))
 
-    local = {v: i for i, v in enumerate(verts)}
-    edges = {}
-    for ai, a in enumerate(verts):
-        for b in verts[ai + 1:]:
-            m = matrix.orders[a][b]
-            if m is INFINITY:
+    adj = {v: {} for v in verts}          # node -> {neighbour: label}
+    labels = []
+    for i, a in enumerate(verts):
+        for b in verts[i + 1:]:
+            m = orders[a][b]
+            if m is INFINITY or m > 5:
                 return None
             if m >= 3:
-                edges[(local[a], local[b])] = m
-
-    if n == 2:
-        m = next(iter(edges.values()))
-        if m == 3:
-            return ComponentType("A", 2, 0, comp, degrees_of("A", 2))
-        if m == 4:
-            return ComponentType("B", 2, 0, comp, degrees_of("B", 2))
-        return ComponentType("I2", 2, m, comp, degrees_of("I2", 2, m))
-
-    if len(edges) != n - 1:        # finite-type diagrams are trees
+                adj[a][b] = adj[b][a] = m
+                labels.append(m)
+    if len(labels) != n - 1:
         return None
-    labels = sorted(edges.values())
-    for label, cand_edges in _candidate_diagrams(n):
-        if sorted(m for _, _, m in cand_edges) != labels:
-            continue
-        if _isomorphic(n, edges, cand_edges):
-            return ComponentType(label, n, 0, comp, degrees_of(label, n))
-    return None
+
+    def arm(prev, v):
+        """Labels from the edge prev-v on to the end of the arm through v."""
+        seq = [adj[prev][v]]
+        while len(adj[v]) == 2:
+            prev, v = v, next(w for w in adj[v] if w != prev)
+            seq.append(adj[prev][v])
+        return tuple(seq)
+
+    branches = [v for v in verts if len(adj[v]) > 2]
+    if not branches:
+        end = next(v for v in verts if len(adj[v]) == 1)
+        seq = arm(end, next(iter(adj[end])))
+        seq = max(seq, seq[::-1])
+        if seq == (3,) * (n - 1):
+            label = "A"
+        elif seq == (4,) + (3,) * (n - 2):
+            label = "B"
+        else:
+            label = _PATHS.get(seq)
+    elif len(branches) == 1 and len(adj[branches[0]]) == 3 and max(labels) == 3:
+        centre = branches[0]
+        arms = sorted(len(arm(centre, v)) for v in adj[centre])
+        label = "D" if arms[:2] == [1, 1] else _FORKS.get(tuple(arms))
+    else:
+        return None
+    return None if label is None else ComponentType(label, n, 0, comp, degrees_of(label, n))
 
 
 def classify(matrix: CoxeterMatrix, subset: Mask) -> FiniteTypeInfo:

@@ -100,6 +100,8 @@ def coxeter_matrix(rank: int, pairs=None) -> CoxeterMatrix:
     """
     table = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
     for (i, j), m in (pairs or {}).items():
+        if not (0 <= i < rank and 0 <= j < rank):
+            raise ValueError(f"pair ({i}, {j}) is out of range for rank {rank}")
         if i == j:
             raise ValueError("cannot set a diagonal order")
         table[i][j] = m
@@ -113,6 +115,8 @@ def coxeter_matrix(rank: int, pairs=None) -> CoxeterMatrix:
 
 def bits_of(mask: Mask) -> list:
     """Indices set in the mask, ascending."""
+    if mask < 0:
+        raise ValueError(f"mask must be nonnegative, got {mask}")
     out = []
     i = 0
     while mask:
@@ -132,6 +136,8 @@ def mask_of(indices: Iterable[int]) -> Mask:
 
 def submasks(mask: Mask, proper: bool = False) -> Iterator[Mask]:
     """All submasks of ``mask`` (including 0), optionally excluding itself."""
+    if mask < 0:
+        raise ValueError(f"mask must be nonnegative, got {mask}")
     sub = mask
     while True:
         if not (proper and sub == mask):

@@ -151,6 +151,9 @@ class WordOracle:
 
     def word(self, i: int) -> Word:
         """Canonical word of element i, rebuilt along its parent chain."""
+        if not 0 <= i < len(self._descents):
+            raise ValueError(f"element id {i} is not in the table built so far "
+                             f"({len(self._descents)} ids)")
         rank, last, table = self.rank, self._last, self._table
         letters = []
         while i:
@@ -162,6 +165,9 @@ class WordOracle:
 
     def descents(self, i: int) -> Mask:
         """Right descent mask of element i."""
+        if not 0 <= i < len(self._descents):
+            raise ValueError(f"element id {i} is not in the table built so far "
+                             f"({len(self._descents)} ids)")
         return self._descents[i]
 
     def descent_counts(self, k: int) -> Counter:

@@ -11,6 +11,8 @@ boundary.
 """
 
 import importlib
+import itertools
+import random
 from math import factorial
 from pathlib import Path
 
@@ -163,6 +165,132 @@ def test_spherical_subsets_downward_closed():
                 if sub == 0:
                     break
                 sub = (sub - 1) & t
+
+
+# ---------------------------------------------------------------------------
+# the shape rules against written-out diagrams, matched by vertex permutation
+# ---------------------------------------------------------------------------
+
+# every connected finite type of rank <= 5 with labels in {3, 4, 5, 6}, as
+# (label, dihedral parameter, edges)
+REFERENCE = {
+    1: [("A", 0, [])],
+    2: [("A", 0, [(0, 1, 3)]), ("B", 0, [(0, 1, 4)]),
+        ("I2", 5, [(0, 1, 5)]), ("I2", 6, [(0, 1, 6)])],
+    3: [("A", 0, [(0, 1, 3), (1, 2, 3)]),
+        ("B", 0, [(0, 1, 4), (1, 2, 3)]),
+        ("H3", 0, [(0, 1, 5), (1, 2, 3)])],
+    4: [("A", 0, [(0, 1, 3), (1, 2, 3), (2, 3, 3)]),
+        ("B", 0, [(0, 1, 4), (1, 2, 3), (2, 3, 3)]),
+        ("D", 0, [(0, 1, 3), (1, 2, 3), (1, 3, 3)]),
+        ("F4", 0, [(0, 1, 3), (1, 2, 4), (2, 3, 3)]),
+        ("H4", 0, [(0, 1, 5), (1, 2, 3), (2, 3, 3)])],
+    5: [("A", 0, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3)]),
+        ("B", 0, [(0, 1, 4), (1, 2, 3), (2, 3, 3), (3, 4, 3)]),
+        ("D", 0, [(0, 1, 3), (1, 2, 3), (2, 3, 3), (2, 4, 3)])],
+}
+
+
+def _labelled_trees(n, labels):
+    """Every labelled tree on the vertices 0..n-1 (from Pruefer sequences),
+    with every labelling of its edges, as a frozenset of (a, b, label)."""
+    for code in itertools.product(range(n), repeat=max(n - 2, 0)):
+        degree = [1] * n
+        for v in code:
+            degree[v] += 1
+        edges = []
+        for v in code:
+            leaf = degree.index(1)
+            edges.append((min(leaf, v), max(leaf, v)))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        if n >= 2:
+            a, b = [v for v in range(n) if degree[v] == 1]
+            edges.append((a, b))
+        for ms in itertools.product(labels, repeat=len(edges)):
+            yield frozenset((a, b, m) for (a, b), m in zip(edges, ms))
+
+
+def _images(n, edges):
+    """The edge sets of every vertex permutation of a diagram."""
+    return {frozenset((min(p[a], p[b]), max(p[a], p[b]), m) for a, b, m in edges)
+            for p in itertools.permutations(range(n))}
+
+
+def _found(matrix):
+    info = classify(matrix, matrix.full_mask)
+    if not info.finite:
+        return None
+    (component,) = info.components
+    return component.label, component.parameter
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_trees_match_the_written_out_catalog(n):
+    expected = {}
+    for label, parameter, edges in REFERENCE[n]:
+        for image in _images(n, edges):
+            expected[image] = (label, parameter)
+    trees = 0
+    for tree in _labelled_trees(n, (3, 4, 5, 6)):
+        matrix = coxeter_matrix(n, {(a, b): m for a, b, m in tree})
+        assert _found(matrix) == expected.get(tree), sorted(tree)
+        trees += 1
+    assert trees == n ** max(n - 2, 0) * 4 ** (n - 1)
+
+
+def _chain(labels):
+    return [(i, i + 1, m) for i, m in enumerate(labels)]
+
+
+def _star(*arms):
+    """Every label 3: arms of the given numbers of nodes around node 0."""
+    edges, nxt = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt, 3))
+            prev, nxt = nxt, nxt + 1
+    return edges
+
+
+@pytest.mark.parametrize("name,edges,expected", [
+    ("E6", _star(1, 2, 2), "E6"),
+    ("E7", _star(1, 2, 3), "E7"),
+    ("E8", _star(1, 2, 4), "E8"),
+    ("D8", _star(1, 1, 5), "D"),
+    ("affine E6", _star(2, 2, 2), None),
+    ("affine E7", _star(1, 3, 3), None),
+    ("affine E8", _star(1, 2, 5), None),
+    ("affine D4", _star(1, 1, 1, 1), None),
+    ("affine D5", [(0, 2, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3)], None),
+    ("affine D7", [(0, 2, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3), (5, 6, 3),
+                   (5, 7, 3)], None),
+    ("affine B3", [(0, 1, 4), (1, 2, 3), (1, 3, 3)], None),
+    ("affine B5", [(0, 1, 4), (1, 2, 3), (2, 3, 3), (3, 4, 3), (3, 5, 3)], None),
+    ("a 5 in a D4", [(0, 1, 5), (1, 2, 3), (1, 3, 3)], None),
+    ("affine C3", _chain([4, 3, 4]), None),
+    ("affine C5", _chain([4, 3, 3, 3, 4]), None),
+    ("affine F4", _chain([3, 3, 4, 3]), None),
+    ("affine G2", _chain([6, 3]), None),
+    ("5 inside a path", _chain([3, 5, 3]), None),
+    ("5 inside a longer path", _chain([3, 3, 5, 3]), None),
+    ("(5, 3, 3, 3)", _chain([5, 3, 3, 3]), None),
+    ("4 and 5", _chain([4, 3, 5]), None),
+    ("two 4s", _chain([4, 4]), None),
+    ("B7", _chain([4] + [3] * 5), "B"),
+    ("A9", _chain([3] * 8), "A"),
+])
+def test_exceptional_types_and_near_misses_under_relabelling(name, edges, expected):
+    n = 1 + max(max(a, b) for a, b, _ in edges)
+    rng = random.Random(name)
+    for _ in range(20):
+        p = list(range(n))
+        rng.shuffle(p)
+        matrix = coxeter_matrix(n, {(min(p[a], p[b]), max(p[a], p[b])): m
+                                    for a, b, m in edges})
+        found = _found(matrix)
+        assert (found and found[0]) == expected, (name, p)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,15 @@ def test_matrix_validation():
         coxeter_matrix(2, {(0, 0): 3})
 
 
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -3), (0, 7), (3, 1), (2, 3)])
+def test_coxeter_matrix_rejects_indices_outside_the_rank(pair):
+    # a negative index once wrapped to the last generator: (-1, 0) set m(1, 3)
+    with pytest.raises(ValueError, match=rf"pair \({pair[0]}, {pair[1]}\) is out of range"):
+        coxeter_matrix(3, {pair: 5})
+    with pytest.raises(ValueError, match="diagonal"):
+        coxeter_matrix(3, {(2, 2): 5})
+
+
 def test_rank_zero_sentinel():
     m = CoxeterMatrix(0, ())
     assert m.full_mask == 0
@@ -121,6 +130,19 @@ def test_submasks_enumeration():
     assert subs == [0b000, 0b001, 0b100, 0b101]
     assert sorted(submasks(0b101, proper=True)) == [0b000, 0b001, 0b100]
     assert list(submasks(0)) == [0]
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -0b1011, -(1 << 20)])
+def test_negative_masks_are_rejected(mask):
+    # -1 >> 1 == -1, so a negative mask once made these loops run forever
+    with pytest.raises(ValueError, match="mask must be nonnegative"):
+        bits_of(mask)
+    with pytest.raises(ValueError, match="mask must be nonnegative"):
+        next(submasks(mask))
+    with pytest.raises(ValueError, match="mask must be nonnegative"):
+        next(submasks(mask, proper=True))
+    with pytest.raises(ValueError, match="mask must be nonnegative"):
+        format_subset(mask)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 10 - 1))

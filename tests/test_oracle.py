@@ -371,6 +371,22 @@ def test_id_accessors():
     assert o.sphere_ids(4) == range(0)
 
 
+def test_id_accessors_reject_ids_outside_the_table():
+    # a negative id once indexed from the end: word(-1) read (0, 1, 0)
+    o = WordOracle(get("a2").matrix)
+    assert o.sphere_sizes(3) == [1, 2, 2, 1]
+    assert o.word(5) == (0, 1, 0) and o.descents(5) == 0b11
+    for i in (-1, -6, 6, 100):
+        with pytest.raises(ValueError, match=f"element id {i} is not in the table"):
+            o.word(i)
+        with pytest.raises(ValueError, match=f"element id {i} is not in the table"):
+            o.descents(i)
+    fresh = WordOracle(get("free-product-3").matrix)
+    assert fresh.word(0) == () and fresh.descents(0) == 0
+    with pytest.raises(ValueError, match="element id 1 is not in the table"):
+        fresh.word(1)
+
+
 # ---------------------------------------------------------------------------
 # exact arithmetic of the Tits-cone oracle
 # ---------------------------------------------------------------------------
