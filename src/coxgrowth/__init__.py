@@ -9,7 +9,7 @@ and an exact reflection (Tits-cone) representation.
 
 from .catalog import ENTRIES, get, names
 from .census import (SimplexRecord, census_by_type, enumerate_simplices,
-                     euler_series, euler_series_by_type, panel_union_euler)
+                     euler_series, panel_union_euler)
 from .classify import FiniteTypeInfo, classify, spherical_subsets
 from .coxeter import (INFINITY, CoxeterMatrix, CoxParseError, bits_of,
                       coxeter_matrix, format_subset, mask_of,
@@ -35,7 +35,7 @@ __all__ = [
     "GrowthTable", "InvariantViolation", "growth_series", "nerve_coefficients",
     "verify_identity", "verify_identities",
     "SimplexRecord", "census_by_type", "enumerate_simplices", "euler_series",
-    "euler_series_by_type", "panel_union_euler",
+    "panel_union_euler",
     "ENTRIES", "names", "get",
     "__version__",
 ]

@@ -24,12 +24,18 @@ A coset w * W_T is recorded at its shortest element u, and u is shortest
 exactly when its right descent set misses T, so the records at u depend on u
 only through its length and descent mask.  The counters -- ``census_by_type``,
 the one-pass API that fills every type's slice and record count at once and
-attaches its closed form for comparison, ``euler_series_by_type`` (the same
-pass, with the closed form of its one type only) and ``euler_series`` (the
-total) -- therefore walk the (length, descent-mask) classes of the ball and
-take each class once, weighted by its size.  Only ``enumerate_simplices``
-walks the census record by record, because its records carry the canonical
-word of each coset.  Both walks read one definition of each type's faces.
+attaches its closed form for comparison, and ``euler_series`` (the total) --
+therefore walk the (length, descent-mask) classes of the ball and take each
+class once, weighted by its size.  Only ``enumerate_simplices`` walks the
+census record by record, because its records carry the canonical word of
+each coset.
+
+The class walk needs only two numbers per type: the signed sum of (-1)^dim
+over its faces and their number.  A coxeter or tits type has one face; for
+davis the numbers are e_T and c_T, the signed sum and the count of the
+spherical chains starting at T, which :func:`chain_sums` counts by a
+recursion without listing a chain.  The chains are listed only for the
+record walk, and the tests hold the two walks to each other.
 
 Each public call classifies its system once (:func:`classify_all`; the
 census-by-type calls read the classification of the one growth table they
@@ -42,15 +48,11 @@ from dataclasses import dataclass, field
 
 from .classify import classify_all, spherical_subsets
 from .coxeter import CoxeterMatrix, Mask, format_subset, submasks
-from .growth import GrowthTable, _nerve_coefficients
+from .growth import GrowthTable, _nerve_coefficients, _sign
 from .oracle import WordOracle, _coset_pieces
-from .ratfunc import RatFunc, series_expand, substitute_inverse
+from .ratfunc import RatFunc, series_expand
 
 KINDS = ("coxeter", "davis", "tits")
-
-
-def _sign(k: int) -> int:
-    return -1 if k & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,27 @@ def spherical_chains(spherical: tuple) -> tuple:
                 out.extend((t,) + c for c in chains_from[u])
         chains_from[t] = out
     return tuple(c for t in spherical for c in chains_from[t])
+
+
+def chain_sums(spherical: tuple) -> dict:
+    """{T: (e_T, c_T)} for the given spherical subsets (in increasing mask
+    order, as :func:`spherical_subsets` lists them), in that order, over the
+    strict chains T = T0 < T1 < ... < Tk of them: e_T = sum (-1)^k and c_T
+    is their number.
+
+    A chain from T is T alone or T followed by a chain from a strict
+    superset U, so e_T = 1 - sum_{U > T} e_U and c_T = 1 + sum_{U > T} c_U,
+    and one pass from the top counts them without listing a chain.  By
+    P. Hall's theorem e_T = (-1)^{|T|} chi_T; the recursion does not use
+    it, so each can check the other.
+    """
+    signed, counts = {}, {}
+    for i in range(len(spherical) - 1, -1, -1):    # a strict superset is a larger mask
+        t = spherical[i]
+        above = [u for u in spherical[i + 1:] if u & t == t]
+        signed[t] = 1 - sum(signed[u] for u in above)
+        counts[t] = 1 + sum(counts[u] for u in above)
+    return {t: (signed[t], counts[t]) for t in spherical}
 
 
 def valid_type_masks(matrix: CoxeterMatrix, kind: str) -> list:
@@ -125,7 +148,9 @@ def _faces(matrix: CoxeterMatrix, kind: str, classified) -> dict:
     A face of type T recorded at a chamber u has length value length(u) +
     shift, the same shift for every face of T: 0 for coxeter and davis, the
     longest length of W_T for tits.  Davis faces are the spherical chains
-    starting at T; the other kinds have one face per type, with no chain.
+    starting at T, listed here for the record walk only; the class walk
+    counts them by :func:`chain_sums`.  The other kinds have one face per
+    type, with no chain.
     """
     infos, spherical = classified
     if kind == "davis":
@@ -177,14 +202,16 @@ def _class_totals(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOr
     n chambers adds n * sum (-1)^dim over T's faces to T's slice at k +
     shift, and n * (number of faces) to its record count.
     """
-    faces = _faces(matrix, kind, classified)
-    folded = {t: (shift, sum(_sign(dim) for _, dim in chains), len(chains))
-              for t, (shift, chains) in faces.items()}
-    slices = {t: [0] * (horizon + 1) for t in faces}
-    counts = dict.fromkeys(faces, 0)
+    if kind == "davis":
+        folded = {t: (0, e, c) for t, (e, c) in chain_sums(classified[1]).items()}
+    else:
+        folded = {t: (shift, sum(_sign(dim) for _, dim in chains), len(chains))
+                  for t, (shift, chains) in _faces(matrix, kind, classified).items()}
+    slices = {t: [0] * (horizon + 1) for t in folded}
+    counts = dict.fromkeys(folded, 0)
     for k in range(horizon + 1):
         for d, n in oracle.descent_counts(k).items():
-            for t in _types_at(matrix, kind, d, faces):
+            for t in _types_at(matrix, kind, d, folded):
                 shift, signed, size = folded[t]
                 if k + shift <= horizon:
                     slices[t][k + shift] += signed * n
@@ -240,28 +267,21 @@ def _type_census(table: GrowthTable, kind: str, horizon: int, t: Mask,
                  census: list, records: int, chis: dict) -> TypeCensus:
     """Attach type t's closed form (see :func:`census_by_type`), read from the
     system's table, to its slice; ``chis`` holds the nerve coefficients (kind
-    "davis" only)."""
+    "davis" only).
+
+    Every kind's closed form is coeff * t^shift * W / W_T, built as one
+    fraction: the shift is 0, or m_T for tits, since W_T is a palindromic
+    polynomial of degree m_T, so W_T(1/t) = t^{-m_T} * W_T(t).
+    """
     rank = table.matrix.rank
     w = table.series()
     wt = table.series(t)
     size = t.bit_count()
-    if kind == "coxeter":
-        closed = _sign(rank - size - 1) * w / wt
-    elif kind == "davis":
-        closed = chis[t] * _sign(size) * w / wt
-    else:
-        closed = _sign(rank - size - 1) * w / substitute_inverse(wt)
+    coeff = chis[t] * _sign(size) if kind == "davis" else _sign(rank - size - 1)
+    shift = wt.num.degree if kind == "tits" else 0
+    closed = RatFunc((coeff * w.num * wt.den).shifted(shift), w.den * wt.num)
     return TypeCensus(kind, t, tuple(census), closed,
                       tuple(series_expand(closed, horizon)), records)
-
-
-def _type_slices(table: GrowthTable, kind: str, horizon, oracle):
-    """One pass over the census of the table's system, classified as the table
-    is: (types, horizon, slice per type, records per type)."""
-    matrix, classified = table.matrix, (table.infos, table.spherical)
-    types, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
-    slices, counts = _class_totals(matrix, kind, horizon, oracle, classified)
-    return types, horizon, slices, counts
 
 
 def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
@@ -276,27 +296,12 @@ def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
         tits:     (-1)^{|S|-|T|-1} * W(t) / W_T(1/t)
     """
     table = GrowthTable(matrix)
-    types, horizon, slices, counts = _type_slices(table, kind, horizon, oracle)
+    classified = (table.infos, table.spherical)
+    types, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
+    slices, counts = _class_totals(matrix, kind, horizon, oracle, classified)
     chis = _nerve_coefficients(matrix.rank, table.spherical) if kind == "davis" else None
     return [_type_census(table, kind, horizon, t, slices[t], counts[t], chis)
             for t in types]
-
-
-def euler_series_by_type(matrix: CoxeterMatrix, kind: str, type_mask: Mask,
-                         horizon: int, oracle: WordOracle = None) -> TypeCensus:
-    """Census restricted to one type, with the exact closed form attached.
-
-    The slice of :func:`census_by_type` for ``type_mask``, with only that
-    type's closed form built; use :func:`census_by_type` to get every type
-    from one pass.
-    """
-    table = GrowthTable(matrix)
-    if type_mask not in _valid_types(matrix, kind, table.spherical):
-        raise ValueError(f"{format_subset(type_mask)} is not a valid {kind} type")
-    _, horizon, slices, counts = _type_slices(table, kind, horizon, oracle)
-    chis = _nerve_coefficients(matrix.rank, table.spherical) if kind == "davis" else None
-    return _type_census(table, kind, horizon, type_mask,
-                        slices[type_mask], counts[type_mask], chis)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +341,7 @@ def check_face_length_drop(matrix: CoxeterMatrix, kind: str, horizon: int = None
     if kind == "coxeter":
         weighted_types = [(t, 1) for t in types]
     else:
-        chain_count = {}
-        for chain in spherical_chains(classified[1]):
-            chain_count[chain[0]] = chain_count.get(chain[0], 0) + 1
-        weighted_types = sorted(chain_count.items())
+        weighted_types = [(t, c) for t, (_, c) in chain_sums(classified[1]).items()]
 
     report = FaceLengthReport(kind=kind, horizon=horizon,
                               chambers_checked=len(lengths), simplices_checked=0)
@@ -385,8 +387,7 @@ def panel_union_euler(matrix: CoxeterMatrix, kind: str, subset: Mask) -> int:
         raise ValueError("the davis chamber model is only defined for infinite groups")
     if not infos[subset].finite:
         raise ValueError("davis panel unions need every subset of the set to be spherical")
-    return sum(_sign(len(chain) - 1)
-               for chain in spherical_chains(spherical) if chain[0] & subset)
+    return sum(e for t, (e, _) in chain_sums(spherical).items() if t & subset)
 
 
 @dataclass

@@ -368,18 +368,6 @@ def _nerve_coefficients(rank: int, spherical: tuple) -> dict:
     return {t: acc[t] for t in spherical}
 
 
-@dataclass(frozen=True)
-class NerveLink:
-    """Link of a spherical simplex in the nerve: all strictly larger spherical subsets."""
-
-    base: Mask
-    simplices: tuple   # spherical supersets U > base; dimension |U| - |base| - 1
-
-    def euler_characteristic(self) -> int:
-        base_size = self.base.bit_count()
-        return sum(_sign(u.bit_count() - base_size - 1) for u in self.simplices)
-
-
 # ---------------------------------------------------------------------------
 # identity verification
 # ---------------------------------------------------------------------------

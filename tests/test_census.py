@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxgrowth import (ENTRIES, WordOracle, census_by_type, classify,
-                       enumerate_simplices, euler_series, euler_series_by_type,
-                       get, panel_union_euler, spherical_subsets)
-from coxgrowth.census import (KINDS, check_face_length_drop,
+                       enumerate_simplices, euler_series, get,
+                       panel_union_euler, spherical_subsets)
+from coxgrowth.census import (KINDS, chain_sums, check_face_length_drop,
                               check_local_alternating_sum, spherical_chains,
                               valid_type_masks)
-from test_growth import systems_up_to_rank_5
+from test_growth import systems_up_to_rank_5, systems_up_to_rank_6
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +89,28 @@ def test_spherical_chains_tilde_a2():
             assert a & b == a and a != b  # strictly increasing inclusions
 
 
+def _assert_chain_sums_match_chains(matrix):
+    spherical = spherical_subsets(matrix)
+    listed = {t: [0, 0] for t in spherical}
+    for chain in spherical_chains(spherical):
+        listed[chain[0]][0] += -1 if (len(chain) - 1) & 1 else 1
+        listed[chain[0]][1] += 1
+    sums = chain_sums(spherical)
+    assert list(sums) == list(spherical)
+    assert {t: list(ec) for t, ec in sums.items()} == listed
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
+def test_chain_sums_match_listed_chains_on_catalog(entry):
+    _assert_chain_sums_match_chains(entry.matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_up_to_rank_6())
+def test_chain_sums_match_listed_chains_on_random_systems(matrix):
+    _assert_chain_sums_match_chains(matrix)
+
+
 def test_valid_type_masks():
     m = get("inf-dihedral").matrix
     assert valid_type_masks(m, "coxeter") == [0, 1, 2]
@@ -141,15 +163,8 @@ def test_by_type_census_matches_closed_forms(oracle_for):
         m = get(name).matrix
         kinds = ("coxeter", "davis", "tits") if horizon is not None else ("coxeter", "tits")
         for kind in kinds:
-            for t in valid_type_masks(m, kind):
-                tc = euler_series_by_type(m, kind, t, horizon, oracle_for(name))
-                assert tc.matches, (name, kind, t, tc.census, tc.closed_series)
-
-
-def test_by_type_census_rejects_bad_type():
-    m = get("inf-dihedral").matrix
-    with pytest.raises(ValueError, match="not a valid"):
-        euler_series_by_type(m, "tits", 0b11, 4)  # full set is not spherical
+            for tc in census_by_type(m, kind, horizon, oracle_for(name)):
+                assert tc.matches, (name, kind, tc.type_mask, tc.census, tc.closed_series)
 
 
 def test_census_by_type_counts_records_per_type(oracle_for):
@@ -255,9 +270,6 @@ def test_census_counters_read_no_element(monkeypatch):
             got = census_by_type(m, kind, 5, o)
             assert [(tc.type_mask, tc.census, tc.records) for tc in got] == per_type
             assert all(tc.matches for tc in got)
-            for t, census, records in per_type:
-                tc = euler_series_by_type(m, kind, t, 5, o)
-                assert (tc.census, tc.records) == (census, records)
             assert euler_series(m, kind, 5, o) == total
     assert expected["coxeter"][1] == expected["davis"][1] == [1, 0, 0, 0, 0, 0]
 

@@ -10,7 +10,8 @@ import jsonschema
 import pytest
 
 import coxgrowth
-from coxgrowth import enumerate_simplices, euler_series, get
+from coxgrowth import (coxeter_matrix, enumerate_simplices, euler_series, get,
+                       serialize_coxeter)
 from coxgrowth.cli import REPORT_SCHEMA, main
 
 SYS = str(Path(__file__).resolve().parent.parent / "systems")
@@ -182,6 +183,16 @@ def test_missing_file_is_an_error(capsys):
     assert "error:" in err
 
 
+def test_a_bug_is_not_reported_as_bad_input(monkeypatch):
+    # a KeyError is no input error: it keeps its traceback
+    def broken(*args):
+        raise KeyError(5)
+
+    monkeypatch.setattr("coxgrowth.cli.census_by_type", broken)
+    with pytest.raises(KeyError):
+        main(["census", f"{SYS}/a2.cox", "--complex", "coxeter"])
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", f"{SYS}/a2.cox"])  # missing required --complex
@@ -220,3 +231,27 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.splitlines() == ["False", "False 0 result: PASS"]
+
+
+def test_davis_census_memory_is_bounded_by_the_answer(tmp_path):
+    # the 10-cycle of 3s has 1023 spherical subsets and 204 495 125 chains of
+    # them: the census counts the chains, so it fits in a 1 GiB address space
+    resource = pytest.importorskip("resource")
+    system = tmp_path / "cycle10.cox"
+    system.write_text(serialize_coxeter(coxeter_matrix(
+        10, {(i, (i + 1) % 10): 3 for i in range(10)})), encoding="utf-8")
+    src = str(Path(coxgrowth.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "coxgrowth", "census", str(system),
+                           "--complex", "davis", "--max-length", "3", "--json"],
+                          env=env, preexec_fn=cap, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    doc = json.loads(done.stdout)
+    assert len(doc["data"]["by_type"]) == 1023
+    assert all(row["matches"] for row in doc["data"]["by_type"])

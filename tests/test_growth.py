@@ -1,6 +1,7 @@
 """Growth tables, nerve coefficients, and the four alternating-sum identities."""
 
 import time
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from coxgrowth import (ENTRIES, INFINITY, InvariantViolation, WordOracle,
 from coxgrowth import growth
 from coxgrowth.coxeter import coxeter_matrix, submasks
 from coxgrowth.classify import classify_all
-from coxgrowth.growth import GrowthTable, NerveLink
+from coxgrowth.growth import GrowthTable
 from coxgrowth.ratfunc import (Poly, RatFunc, format_ratfunc, series_expand,
                                substitute_inverse)
 
@@ -111,6 +112,21 @@ def systems_up_to_rank_6(draw):
 @given(systems_up_to_rank_6())
 def test_nerve_coefficients_match_definition_on_random_systems(matrix):
     _assert_nerve_coefficients_match(matrix)
+
+
+@dataclass(frozen=True)
+class NerveLink:
+    """Link of a spherical simplex in the nerve: all strictly larger spherical
+    subsets, with its Euler characteristic summed over those simplices.  The
+    reference for the chain sums that ``coxgrowth chi`` reports."""
+
+    base: int
+    simplices: tuple   # spherical supersets U > base; dimension |U| - |base| - 1
+
+    def euler_characteristic(self) -> int:
+        base_size = self.base.bit_count()
+        return sum(-1 if (u.bit_count() - base_size - 1) & 1 else 1
+                   for u in self.simplices)
 
 
 def nerve_link(spherical, subset):
