@@ -16,7 +16,7 @@ from .coxeter import (INFINITY, CoxeterMatrix, CoxParseError, bits_of,
                       parse_coxeter_file, serialize_coxeter)
 from .growth import (GrowthTable, InvariantViolation, growth_series,
                      nerve_coefficients, verify_identities, verify_identity)
-from .oracle import (GeometricOracle, OracleHorizonError, WordOracle,
+from .oracle import (GeometricOracle, WordOracle, coset_components,
                      coset_decomposition_check, cross_check_oracles)
 from .ratfunc import (Poly, RatFunc, format_poly, format_ratfunc,
                       series_expand, substitute_inverse)
@@ -30,8 +30,8 @@ __all__ = [
     "FiniteTypeInfo", "classify", "spherical_subsets",
     "Poly", "RatFunc", "series_expand", "substitute_inverse",
     "format_poly", "format_ratfunc",
-    "WordOracle", "GeometricOracle", "OracleHorizonError",
-    "coset_decomposition_check", "cross_check_oracles",
+    "WordOracle", "GeometricOracle",
+    "coset_components", "coset_decomposition_check", "cross_check_oracles",
     "GrowthTable", "InvariantViolation", "growth_series", "nerve_coefficients",
     "verify_identity", "verify_identities",
     "SimplexRecord", "census_by_type", "enumerate_simplices", "euler_series",

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from .classify import classify_all, spherical_subsets
 from .coxeter import CoxeterMatrix, Mask, format_subset, submasks
 from .growth import GrowthTable, _nerve_coefficients, _sign
-from .oracle import WordOracle, _coset_pieces
+from .oracle import WordOracle, coset_components
 from .ratfunc import RatFunc, series_expand
 
 KINDS = ("coxeter", "davis", "tits")
@@ -305,7 +305,7 @@ def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
 
 
 # ---------------------------------------------------------------------------
-# face-length criterion and local sums
+# face-length criterion and panel unions
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -346,7 +346,7 @@ def check_face_length_drop(matrix: CoxeterMatrix, kind: str, horizon: int = None
     report = FaceLengthReport(kind=kind, horizon=horizon,
                               chambers_checked=len(lengths), simplices_checked=0)
     for t, weight in weighted_types:
-        comp = _coset_pieces(oracle, horizon, t)
+        comp = coset_components(oracle, horizon, t)
         comp_min = {}
         for cid, length in zip(comp, lengths):
             cur = comp_min.get(cid)
@@ -388,37 +388,3 @@ def panel_union_euler(matrix: CoxeterMatrix, kind: str, subset: Mask) -> int:
     if not infos[subset].finite:
         raise ValueError("davis panel unions need every subset of the set to be spherical")
     return sum(e for t, (e, _) in chain_sums(spherical).items() if t & subset)
-
-
-@dataclass
-class LocalSumReport:
-    horizon: int
-    chambers_checked: int
-    counterexamples: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.counterexamples
-
-
-def check_local_alternating_sum(matrix: CoxeterMatrix, horizon: int = None,
-                                oracle: WordOracle = None) -> LocalSumReport:
-    """Per chamber w, sum (-1)^{|S|-|T|-1} over all T inside the descent set.
-
-    The direct sum must be 0 for every w except the identity, where it is
-    (-1)^{|S|-1}: the binomial alternating sum collapses unless the descent
-    set is empty.
-    """
-    _, horizon, oracle = _resolve(matrix, "coxeter", horizon, oracle, classify_all(matrix))
-    rank = matrix.rank
-    report = LocalSumReport(horizon=horizon, chambers_checked=0)
-    for k in range(horizon + 1):
-        for i in oracle.sphere_ids(k):
-            report.chambers_checked += 1
-            value = sum(_sign(rank - t.bit_count() - 1)
-                        for t in submasks(oracle.descents(i)))
-            expected = _sign(rank - 1) if k == 0 else 0
-            if value != expected:
-                report.counterexamples.append(
-                    f"chamber {oracle.word(i)}: local sum {value}, expected {expected}")
-    return report

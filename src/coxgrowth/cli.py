@@ -231,62 +231,71 @@ def _cmd_catalog(args):
 # parser / entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser():
+COMMANDS = ("growth", "verify", "chi", "census", "oracle", "catalog")
+
+
+def _build_parser(command=None):
+    """The command-line parser; with a ``command`` from :data:`COMMANDS`, it
+    holds that one subcommand's parser and no other."""
     parser = argparse.ArgumentParser(
         prog="coxgrowth",
         description="Exact growth series of Coxeter groups, with verification tooling.")
     parser.add_argument("--version", action="version", version=f"coxgrowth {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
+    def add(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("growth", parents=[common],
-                       help="growth series of a system as an exact rational function")
-    p.add_argument("file", help="path to a .cox system file")
-    p.add_argument("--series", type=int, metavar="N",
-                   help="also print power-series coefficients up to degree N")
-    p.set_defaults(func=_cmd_growth)
+    if command in (None, "growth"):
+        p = add("growth", _cmd_growth, "growth series of a system as an exact rational function")
+        p.add_argument("file", help="path to a .cox system file")
+        p.add_argument("--series", type=int, metavar="N",
+                       help="also print power-series coefficients up to degree N")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="check the alternating-sum identities exactly")
-    p.add_argument("file")
-    p.add_argument("--identity", choices=["1", "2", "3", "4", "all"], default="all")
-    p.set_defaults(func=_cmd_verify)
+    if command in (None, "verify"):
+        p = add("verify", _cmd_verify, "check the alternating-sum identities exactly")
+        p.add_argument("file")
+        p.add_argument("--identity", choices=["1", "2", "3", "4", "all"], default="all")
 
-    p = sub.add_parser("chi", parents=[common],
-                       help="nerve coefficients and link Euler characteristics")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_chi)
+    if command in (None, "chi"):
+        p = add("chi", _cmd_chi, "nerve coefficients and link Euler characteristics")
+        p.add_argument("file")
 
-    p = sub.add_parser("census", parents=[common],
-                       help="simplex census and Euler-series of a chamber system")
-    p.add_argument("file")
-    p.add_argument("--complex", choices=list(KINDS), required=True)
-    p.add_argument("--max-length", type=int, metavar="N",
-                   help="census horizon (optional for finite groups)")
-    p.add_argument("--by-type", action="store_true",
-                   help="also print the per-type census lines")
-    p.set_defaults(func=_cmd_census)
+    if command in (None, "census"):
+        p = add("census", _cmd_census, "simplex census and Euler-series of a chamber system")
+        p.add_argument("file")
+        p.add_argument("--complex", choices=list(KINDS), required=True)
+        p.add_argument("--max-length", type=int, metavar="N",
+                       help="census horizon (optional for finite groups)")
+        p.add_argument("--by-type", action="store_true",
+                       help="also print the per-type census lines")
 
-    p = sub.add_parser("oracle", parents=[common],
-                       help="brute-force sphere sizes by word enumeration")
-    p.add_argument("file")
-    p.add_argument("--max-length", type=int, required=True, metavar="N")
-    p.add_argument("--cross-check", action="store_true",
-                   help="also run the exact Tits-cone representation")
-    p.set_defaults(func=_cmd_oracle)
+    if command in (None, "oracle"):
+        p = add("oracle", _cmd_oracle, "brute-force sphere sizes by word enumeration")
+        p.add_argument("file")
+        p.add_argument("--max-length", type=int, required=True, metavar="N")
+        p.add_argument("--cross-check", action="store_true",
+                       help="also run the exact Tits-cone representation")
 
-    p = sub.add_parser("catalog", parents=[common],
-                       help="list built-in systems, optionally self-testing them")
-    p.add_argument("--self-test", action="store_true")
-    p.set_defaults(func=_cmd_catalog)
+    if command in (None, "catalog"):
+        p = add("catalog", _cmd_catalog, "list built-in systems, optionally self-testing them")
+        p.add_argument("--self-test", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = extra = None
+    if argv and argv[0] in COMMANDS:
+        args, extra = _build_parser(argv[0]).parse_known_args(argv)
+    if args is None or extra:
+        # no command first, or arguments left over: the full parser parses
+        # again, so that a usage error lists every subcommand
+        args = _build_parser().parse_args(argv)
     system = getattr(args, "file", None)
     try:
         lines, data, checks = args.func(args)

@@ -53,7 +53,7 @@ Canonical forms without a gcd.  gcd(p, L) = prod_k Phi_k^{min(e_k, v_k)},
 v_k the multiplicity of Phi_k in p, so trial division by L's own factors
 cancels it (:func:`~coxgrowth.ratfunc.cancel_factors`), and the coprime
 pair needs only content and sign normalised.  ``series(T)`` of an infinite
-T and both sides of every identity are reduced this way; ``series(T)``
+T and the left side of every identity are reduced this way; ``series(T)``
 canonicalises one entry, once, when it is asked for.
 
 The table is the one owner of everything derived for its system: it keeps
@@ -65,7 +65,8 @@ single answer.
 ``verify_identity`` re-assembles both sides of four classical identities
 from a finished table (S below is the full generator set, Sph the family
 of subsets generating finite subgroups, m the longest element length), each
-side summed over L and canonicalised once:
+left side summed over L and canonicalised once, each right side read off the
+canonical W = ``series()`` by swapping its numerator and denominator:
 
     1:  sum_{T <= S} (-1)^{|T|} / W_T(t)          == 0            (W infinite)
     2:  sum_{T <= S} (-1)^{|T|} / W_T(t)          == t^m / W(t)   (W finite)
@@ -412,7 +413,8 @@ def verify_identity(table: GrowthTable, which: int) -> IdentityReport:
         if which == 1:
             rhs = RF_ZERO
         else:
-            rhs = table._over_denominator(table._numerator(full).shifted(info.longest_length))
+            w = table.series()
+            rhs = RatFunc.from_coprime(w.den.shifted(info.longest_length), w.num)
         return IdentityReport(which, True, lhs == rhs, True, lhs, rhs,
                               "inverted to build the full-group entry")
 
@@ -421,7 +423,8 @@ def verify_identity(table: GrowthTable, which: int) -> IdentityReport:
     else:
         lhs = table._sum((T, 1) for T in table.spherical)
     lhs = table._over_denominator(lhs)
-    reciprocal = table._over_denominator(table._numerator(full))
+    w = table.series()
+    reciprocal = RatFunc.from_coprime(w.den, w.num)
     rhs = reciprocal if which == 3 else substitute_inverse(reciprocal)
     return IdentityReport(which, True, lhs == rhs, False, lhs, rhs)
 

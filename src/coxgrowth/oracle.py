@@ -7,12 +7,13 @@ right descent mask, and a row of ``rank`` ids giving its right multiple by
 each generator.  Nothing else is kept per element.  The parent of an
 element, the one its canonical word reaches a letter earlier, is the table
 entry at its last letter, so :meth:`WordOracle.word` rebuilds a canonical
-word from the parent chain only when a caller asks for one, and a word is
-turned into an id by walking the table from the identity.  Multiplication
-and descent sets are table lookups, and callers that iterate ids
-(:meth:`WordOracle.sphere_ids`, :meth:`WordOracle.descents`) or count a
-sphere's descent masks (:meth:`WordOracle.descent_counts`) build no word at
-all.
+word from the parent chain only when a caller asks for one, and
+:meth:`WordOracle.id_of` turns a word into an id by walking the table from
+the identity.  Elements are addressed by id only: multiplication
+(:meth:`WordOracle.times`) and descent sets are table lookups, and callers
+that iterate ids (:meth:`WordOracle.sphere_ids`, :meth:`WordOracle.descents`)
+or count a sphere's descent masks (:meth:`WordOracle.descent_counts`) build
+no word at all.
 
 Sphere k + 1 is built from sphere k alone.  Walk sphere k in ShortLex order;
 for an element w and an ascent s, the element v = w*s has s as a descent with
@@ -52,11 +53,6 @@ from .coxeter import INFINITY, CoxeterMatrix, Mask, bits_of, format_subset
 from .growth import _cyclotomic
 
 Word = tuple
-
-
-class OracleHorizonError(RuntimeError):
-    """An enumeration is out of reach: a finite group was not exhausted
-    within the requested length."""
 
 
 class WordOracle:
@@ -119,7 +115,9 @@ class WordOracle:
         if self._starts[-1] == self._starts[-2]:
             self._exhausted = True
 
-    def _times(self, i: int, s: int) -> int:
+    # -- ids -------------------------------------------------------------------
+
+    def times(self, i: int, s: int) -> int:
         """Id of (element i) * s, building the next sphere if it is needed."""
         if not 0 <= s < self.rank:
             raise ValueError(f"generator {s} is out of range for rank {self.rank}")
@@ -130,14 +128,12 @@ class WordOracle:
             j = self._table[i * self.rank + s]
         return j
 
-    def _id(self, word) -> int:
+    def id_of(self, word) -> int:
         """Id of the element a word spells; the word need not be reduced."""
         i = 0
         for s in word:
-            i = self._times(i, s)
+            i = self.times(i, s)
         return i
-
-    # -- ids -------------------------------------------------------------------
 
     def sphere_ids(self, k: int) -> range:
         """Ids of the elements of length exactly k, in ShortLex order."""
@@ -175,47 +171,10 @@ class WordOracle:
         ids = self.sphere_ids(k)
         return Counter(islice(self._descents, ids.start, ids.stop))
 
-    # -- normal forms --------------------------------------------------------
-
-    def canonical(self, word) -> Word:
-        """ShortLex-least reduced word of the element the word spells."""
-        return self.word(self._id(word))
-
-    def descent_mask(self, word) -> Mask:
-        """Right descents: generators ending some reduced word of the element."""
-        return self._descents[self._id(word)]
-
-    def right_multiply(self, word, s: int) -> Word:
-        """Canonical word of w*s, in either length direction."""
-        return self.word(self._times(self._id(word), s))
-
-    # -- sphere enumeration --------------------------------------------------
-
-    def sphere(self, k: int) -> list:
-        """Canonical words of length exactly k, sorted."""
-        return [self.word(i) for i in self.sphere_ids(k)]
-
     def sphere_sizes(self, horizon: int) -> list:
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         return [len(self.sphere_ids(k)) for k in range(horizon + 1)]
-
-    def ball(self, horizon: int) -> dict:
-        """Canonical word -> length, for all elements of length <= horizon."""
-        return {self.word(i): k for k in range(horizon + 1) for i in self.sphere_ids(k)}
-
-    def full_histogram(self, limit: int = 64) -> list:
-        """Sphere sizes of a finite group, enumerated to exhaustion.
-
-        Raises OracleHorizonError if the group is not exhausted by ``limit``.
-        """
-        sizes = []
-        for k in range(limit + 1):
-            size = len(self.sphere_ids(k))
-            if not size:
-                return sizes
-            sizes.append(size)
-        raise OracleHorizonError(f"group not exhausted within length {limit}")
 
     def subgroup_elements(self, subset: Mask) -> list:
         """Canonical words (in parent letters) of the parabolic subgroup on ``subset``.
@@ -235,7 +194,7 @@ class WordOracle:
                 d = self._descents[i]
                 for s in gens:
                     if not (d >> s) & 1:
-                        new.add(self._times(i, s))
+                        new.add(self.times(i, s))
             layer = sorted(new)      # ids are in ShortLex order
             members.extend(self.word(i) for i in layer)
         return members
@@ -260,9 +219,16 @@ class CosetReport:
         return not self.violations
 
 
-def _coset_pieces(oracle: WordOracle, horizon: int, subset: Mask) -> list:
-    """Component number of every id of the length-``horizon`` ball, whose ids
-    are 0, 1, ...; see :func:`coset_components`."""
+def coset_components(oracle: WordOracle, horizon: int, subset: Mask) -> list:
+    """Partition the length-``horizon`` ball into connected pieces of right
+    cosets w * W_subset.
+
+    Returns the component number of every id of the ball (its ids are 0, 1,
+    ...).  Edges are right multiplications by subset generators that stay
+    inside the ball.  A piece containing every element of its coset is the
+    whole coset (cosets are connected under these moves); pieces cut by the
+    horizon are proper subsets.
+    """
     sizes = oracle.sphere_sizes(horizon)
     size = sum(sizes)
     inner = size - sizes[-1]          # the ids of length below the horizon
@@ -280,24 +246,12 @@ def _coset_pieces(oracle: WordOracle, horizon: int, subset: Mask) -> list:
             for s in gens:
                 # an ascent from the horizon leaves the ball: never multiply past it
                 if i < inner or (d >> s) & 1:
-                    j = oracle._times(i, s)
+                    j = oracle.times(i, s)
                     if comp[j] < 0:
                         comp[j] = next_id
                         stack.append(j)
         next_id += 1
     return comp
-
-
-def coset_components(oracle: WordOracle, ball: dict, subset: Mask) -> dict:
-    """Partition a ball into connected pieces of right cosets w * W_subset.
-
-    Returns canonical word -> component id.  Edges are right multiplications
-    by subset generators that stay inside the ball.  A piece containing every
-    element of its coset is the whole coset (cosets are connected under these
-    moves); pieces cut by the horizon are proper subsets.
-    """
-    comp = _coset_pieces(oracle, max(ball.values(), default=0), subset)
-    return {oracle.word(i): c for i, c in enumerate(comp)}
 
 
 def coset_decomposition_check(matrix: CoxeterMatrix, subset: Mask, horizon: int,
@@ -316,37 +270,38 @@ def coset_decomposition_check(matrix: CoxeterMatrix, subset: Mask, horizon: int,
     if oracle is None:
         oracle = WordOracle(matrix)
     members = oracle.subgroup_elements(subset)
-    ball = oracle.ball(horizon)
-    comp = coset_components(oracle, ball, subset)
+    # the ball's ids are 0, 1, ... in ShortLex order, so by length
+    lengths = [k for k, size in enumerate(oracle.sphere_sizes(horizon)) for _ in range(size)]
     groups = {}
-    for w, cid in comp.items():
-        groups.setdefault(cid, []).append(w)
+    for i, cid in enumerate(coset_components(oracle, horizon, subset)):
+        groups.setdefault(cid, []).append(i)
 
     report = CosetReport(subset=subset, horizon=horizon,
                          complete_cosets=0, skipped_cosets=0)
-    for words in groups.values():
-        if len(words) != info.order:
+    for ids in groups.values():
+        if len(ids) != info.order:
             report.skipped_cosets += 1
             continue
-        shortest = min(len(w) for w in words)
-        mins = [w for w in words if len(w) == shortest]
+        shortest = min(lengths[i] for i in ids)
+        mins = [i for i in ids if lengths[i] == shortest]
         if len(mins) != 1:
             report.violations.append(
-                f"coset {sorted(words)} has {len(mins)} shortest elements")
+                f"coset {sorted(oracle.word(i) for i in ids)} has {len(mins)} shortest elements")
             continue
         u = mins[0]
         rebuilt = set()
         for v in members:
             x = u
             for s in v:
-                x = oracle.right_multiply(x, s)
-            if len(x) != len(u) + len(v):
+                x = oracle.times(x, s)
+            # x outside the ball is outside the coset, which the last test reports
+            if x < len(lengths) and lengths[x] != shortest + len(v):
                 report.violations.append(
-                    f"length not additive: u={u} v={v} gives length {len(x)}")
+                    f"length not additive: u={oracle.word(u)} v={v} gives length {lengths[x]}")
             rebuilt.add(x)
-        if rebuilt != set(words):
+        if rebuilt != set(ids):
             report.violations.append(
-                f"coset of u={u} does not match u * subgroup")
+                f"coset of u={oracle.word(u)} does not match u * subgroup")
         report.complete_cosets += 1
     return report
 
@@ -618,7 +573,7 @@ def cross_check_oracles(matrix: CoxeterMatrix, horizon: int,
     mismatches = []
     ids = []
     for layer in layers:
-        ids = [0 if p is None else oracle._times(ids[p], s) for p, s, _ in layer]
+        ids = [0 if p is None else oracle.times(ids[p], s) for p, s, _ in layer]
         for i, (_, _, numeric) in zip(ids, layer):
             symbolic = oracle.descents(i)
             if numeric != symbolic:

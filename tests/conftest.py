@@ -5,7 +5,7 @@ reuse.  A word oracle builds its table of elements sphere by sphere and
 keeps it, so every test that needs an oracle for a catalog system goes
 through ``oracle_for`` and shares one instance, whose table only grows.
 Likewise ``table_for`` builds each catalog system's growth table once per
-session.
+session.  ``full_histogram`` is a plain helper the test modules import.
 """
 
 import pytest
@@ -35,3 +35,11 @@ def table_for():
         return cache[name]
 
     return lookup
+
+
+def full_histogram(oracle: WordOracle) -> list:
+    """Sphere sizes of a finite group, counted until a sphere is empty."""
+    sizes = []
+    while size := len(oracle.sphere_ids(len(sizes))):
+        sizes.append(size)
+    return sizes

@@ -14,6 +14,7 @@ from coxgrowth import (ENTRIES, classify, coset_decomposition_check,
                        spherical_subsets, verify_identity)
 from coxgrowth.census import check_face_length_drop
 from coxgrowth.ratfunc import series_expand
+from conftest import full_histogram
 from test_growth import NerveLink
 
 INFINITE_NAMES = ("inf-dihedral", "tilde-a2", "triangle-244", "triangle-237",
@@ -50,7 +51,7 @@ def test_acceptance_02_identity2_finite_with_bfs_longest(oracle_for, table_for):
         if not (rep2.applicable and rep2.holds):
             failures.append(f"{name}: identity 2 does not hold")
         classifier_m = classify(m, m.full_mask).longest_length
-        bfs_m = len(oracle_for(name).full_histogram()) - 1
+        bfs_m = len(full_histogram(oracle_for(name))) - 1
         if classifier_m != bfs_m:
             failures.append(f"{name}: classifier m={classifier_m}, BFS max={bfs_m}")
     report(2, "identity (2) exact on all finite systems; "
@@ -142,8 +143,8 @@ def test_acceptance_09_panel_union_euler(oracle_for):
         failures.append("empty set (davis)")
     oracle = oracle_for("tilde-a2")
     descent_sets = set()
-    for w in oracle.ball(8):
-        a = oracle.descent_mask(w)
+    for i in (i for k in range(9) for i in oracle.sphere_ids(k)):
+        a = oracle.descents(i)
         if a and a != mt.full_mask:
             descent_sets.add(a)
     if not descent_sets:
@@ -168,13 +169,13 @@ def test_acceptance_10_property_suites(oracle_for):
     # (a) every enumerated descent set is spherical
     for entry in ENTRIES:
         oracle = oracle_for(entry.name)
-        for w in oracle.ball(6):
-            if not classify(entry.matrix, oracle.descent_mask(w)).finite:
-                failures.append(f"{entry.name}: non-spherical descents at {w}")
+        for i in (i for k in range(7) for i in oracle.sphere_ids(k)):
+            if not classify(entry.matrix, oracle.descents(i)).finite:
+                failures.append(f"{entry.name}: non-spherical descents at {oracle.word(i)}")
                 break
     # (b) palindromic histograms for every finite system
     for name in FINITE_NAMES:
-        hist = oracle_for(name).full_histogram()
+        hist = full_histogram(oracle_for(name))
         if hist != hist[::-1]:
             failures.append(f"{name}: histogram not palindromic")
     # (c) coset minima are unique, with exact length additivity

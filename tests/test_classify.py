@@ -25,6 +25,8 @@ from coxgrowth.classify import ComponentType, classify_all, degrees_of
 from coxgrowth.coxeter import INFINITY, coxeter_matrix
 from coxgrowth.ratfunc import series_expand
 
+from conftest import full_histogram
+
 
 def path(n, labels=None):
     """Coxeter matrix of a path diagram on n nodes with the given edge labels."""
@@ -366,7 +368,7 @@ def test_classify_all_matches_each_connected_subset_once(monkeypatch, matrix, co
 ])
 def test_orders_against_word_enumeration(matrix):
     info = classify(matrix, matrix.full_mask)
-    hist = WordOracle(matrix).full_histogram()
+    hist = full_histogram(WordOracle(matrix))
     assert sum(hist) == info.order
     assert len(hist) - 1 == info.longest_length
     assert hist == series_expand(GrowthTable(matrix).series(), info.longest_length)

@@ -1,5 +1,6 @@
 """CLI behaviour: output text, exit codes, and the JSON report schema."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import coxgrowth
 from coxgrowth import (coxeter_matrix, enumerate_simplices, euler_series, get,
                        serialize_coxeter)
-from coxgrowth.cli import REPORT_SCHEMA, main
+from coxgrowth.cli import COMMANDS, REPORT_SCHEMA, _build_parser, main
 
 SYS = str(Path(__file__).resolve().parent.parent / "systems")
 
@@ -203,6 +204,46 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _outcome(capsys, call, argv):
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["--version"], *([command, "--help"] for command in COMMANDS),
+    [], ["frobnicate"], ["verify", f"{SYS}/a2.cox", "extra"],
+    ["verify", f"{SYS}/a2.cox", "--identity", "9"],
+    ["census", f"{SYS}/a2.cox", "--complex", "davis", "--max-length", "x"],
+    ["--json", "verify", f"{SYS}/a2.cox"],
+], ids=lambda argv: " ".join(argv).replace(f"{SYS}/", "") or "no command")
+def test_main_parses_as_the_full_parser(argv, columns, capsys, monkeypatch):
+    # main builds only the subcommand it runs, yet every help text, version
+    # line and usage error is the full parser's, byte for byte
+    monkeypatch.setenv("COLUMNS", columns)
+    full = _outcome(capsys, lambda a: _build_parser().parse_args(a), argv)
+    assert _outcome(capsys, main, argv) == full
+    assert full[0] in (0, 2)
+
+
+def test_a_command_builds_two_parsers(capsys, monkeypatch):
+    # the top parser and the one subcommand parser it runs
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["verify", f"{SYS}/a2.cox", "--json"]) == 0
+    assert built == ["coxgrowth", "coxgrowth verify"]
 
 
 def test_json_deterministic_modulo_timestamp(capsys):
