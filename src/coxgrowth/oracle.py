@@ -29,6 +29,16 @@ those v*t; otherwise the earlier v*t already points at v.  New elements are
 therefore created in ShortLex order with canonical word canonical(w) + (s,),
 and no braid class is ever formed.
 
+The walk for a t that is not a descent of w stops at its first step, so only
+the t in D(w) are walked, and most ascents need no walk at all.  Call s a
+free ascent of w when no t with m(s, t) finite (m = 2 included) is a descent
+of w; then every walk stops at its first step.  That answer is exact: a
+second descent t of v = w*s would force v = x*w0(s, t) with lengths adding,
+so w = v*s would end in the alternating word of length m - 1 ending in t,
+and t would be a descent of w.  So v has the single descent s, w is the
+only element one step below it, v is new, and its row is blank but for w
+at s.  On a free product every ascent is free.
+
 Geometric oracle.  :class:`GeometricOracle` enumerates the same balls through
 the contragredient action of W on the Tits cone, in exact integer arithmetic,
 and shares no code with the table; :func:`cross_check_oracles` compares
@@ -62,10 +72,12 @@ class WordOracle:
         self.matrix = matrix
         self.rank = matrix.rank
         orders = matrix.orders
-        # per generator s: the (t, m(s, t)) with t != s and a finite order
+        # per generator s: the (t, m(s, t)) with t != s and a finite order,
+        # and the mask of those t (m = 2 included)
         self._partners = [[(t, orders[s][t]) for t in range(self.rank)
                            if t != s and orders[s][t] is not INFINITY]
                           for s in range(self.rank)]
+        self._partner_masks = [sum(1 << t for t, _ in p) for p in self._partners]
         self._last = bytearray(1)     # id -> last letter of its canonical word (0 for e)
         self._descents = [0]          # id -> right descent mask
         self._table = [-1] * self.rank  # id * rank + s -> id of w*s; -1 until built
@@ -77,21 +89,40 @@ class WordOracle:
     def _extend(self):
         """Build the next sphere from the last one (see the module docstring)."""
         rank = self.rank
-        partners = self._partners
+        partners, partner_masks = self._partners, self._partner_masks
         last, descents, table = self._last, self._descents, self._table
+        blank = [-1] * rank
+        pairs = [((s, False), (s, True)) for s in range(rank)]
+        ascents_of = {}                   # descent mask -> [(ascent s, free?)]
+        new = len(descents)               # the id the next new element gets
         for w in range(self._starts[-2], self._starts[-1]):
             dw = descents[w]
+            ascents = ascents_of.get(dw)
+            if ascents is None:
+                # shared pairs: a mask's list costs one pointer per ascent
+                ascents = ascents_of[dw] = [pairs[s][not dw & partner_masks[s]]
+                                            for s in range(rank) if not dw >> s & 1]
             row = w * rank
-            for s in range(rank):
-                if dw >> s & 1:
+            for s, free in ascents:
+                if free:
+                    # no partner of s is a descent of w: v = w*s is new with
+                    # descent set {s}, and its row is blank but for w at s
+                    last.append(s)
+                    descents.append(1 << s)
+                    table += blank
+                    table[new * rank + s] = w
+                    table[row + s] = new
+                    new += 1
                     continue
                 v = -1
                 mask = 1 << s
                 down = [-1] * rank            # v's table row: v*t at its descents t
                 down[s] = w
                 for t, m in partners[s]:
-                    x, a, b = w, t, s
-                    for _ in range(m - 1):
+                    if not dw >> t & 1:
+                        continue              # the walk's first step fails
+                    x, a, b = table[row + t], s, t    # first step down by t
+                    for _ in range(m - 2):
                         if not descents[x] >> a & 1:
                             break
                         x = table[x * rank + a]
@@ -106,21 +137,28 @@ class WordOracle:
                         mask |= 1 << t
                         down[t] = x
                 if v < 0:
-                    v = len(descents)
+                    v = new
+                    new += 1
                     last.append(s)
                     descents.append(mask)
                     table += down
                 table[row + s] = v
-        self._starts.append(len(descents))
+        self._starts.append(new)
         if self._starts[-1] == self._starts[-2]:
             self._exhausted = True
 
     # -- ids -------------------------------------------------------------------
 
+    def _check_id(self, i: int):
+        if not 0 <= i < len(self._descents):
+            raise ValueError(f"element id {i} is not in the table built so far "
+                             f"({len(self._descents)} ids)")
+
     def times(self, i: int, s: int) -> int:
         """Id of (element i) * s, building the next sphere if it is needed."""
         if not 0 <= s < self.rank:
             raise ValueError(f"generator {s} is out of range for rank {self.rank}")
+        self._check_id(i)
         j = self._table[i * self.rank + s]
         if j < 0:
             # i lies in the outermost sphere built and s is one of its ascents
@@ -147,9 +185,7 @@ class WordOracle:
 
     def word(self, i: int) -> Word:
         """Canonical word of element i, rebuilt along its parent chain."""
-        if not 0 <= i < len(self._descents):
-            raise ValueError(f"element id {i} is not in the table built so far "
-                             f"({len(self._descents)} ids)")
+        self._check_id(i)
         rank, last, table = self.rank, self._last, self._table
         letters = []
         while i:
@@ -161,9 +197,7 @@ class WordOracle:
 
     def descents(self, i: int) -> Mask:
         """Right descent mask of element i."""
-        if not 0 <= i < len(self._descents):
-            raise ValueError(f"element id {i} is not in the table built so far "
-                             f"({len(self._descents)} ids)")
+        self._check_id(i)
         return self._descents[i]
 
     def descent_counts(self, k: int) -> Counter:
@@ -478,59 +512,66 @@ class GeometricOracle:
             self._couplings.append(row)
         self._identity = ((1,) + (0,) * (d - 1)) * n
 
-    def _step(self, y: tuple, s: int) -> tuple:
-        out = list(y)
-        if self.ring is None:
-            v = y[s]
-            for t, c in self._couplings[s]:
-                out[t] += c * v
-            out[s] = -v
-            return tuple(out)
-        d = self.ring.degree
-        v = y[s * d:(s + 1) * d]
-        for t, c in self._couplings[s]:
-            base = t * d
-            if c.__class__ is int:
-                for i in range(d):
-                    out[base + i] += c * v[i]
-            else:
-                for i, row in enumerate(c, base):
-                    for j, e in row:
-                        out[i] += e * v[j]
-        out[s * d:(s + 1) * d] = [-x for x in v]
-        return tuple(out)
-
-    def _mask(self, y: tuple) -> Mask:
-        if self.ring is None:
-            return sum(1 << t for t, v in enumerate(y) if v < 0)
-        d, sign = self.ring.degree, self.ring.sign
-        mask = 0
-        for t in range(self.rank):
-            v = y[t * d:(t + 1) * d]
-            if min(v) < 0 and sign(v) < 0:      # no negative coordinate: positive
-                mask |= 1 << t
-        return mask
-
     def layers(self, horizon: int) -> list:
         """Per-length lists of (parent, letter, descent mask), up to the horizon.
 
         Entry i of layer k + 1 is entry ``parent`` of layer k times the
         generator ``letter``; layer 0 holds the identity as (None, None, 0).
         Layers past the end of a finite group are empty.
+
+        A step by s changes only y_s and the y_t coupled to s, so the child's
+        mask is the parent's with s set and the coupled bits decided afresh.
         """
+        n, ring, couplings = self.rank, self.ring, self._couplings
+        if ring is not None:
+            d, sign = ring.degree, ring.sign
+        # descent mask -> per ascent s: (s, couplings of s, the parent's bits
+        # the step keeps, with s set)
+        ascents_of = {}
         frontier = [self._identity]
         out = [[(None, None, 0)]]
         for _ in range(horizon):
             layer, nxt, seen = [], [], set()
-            for p, (y, (_, _, d)) in enumerate(zip(frontier, out[-1])):
-                for s in range(self.rank):
-                    if d >> s & 1:
+            for p, (y, (_, _, dy)) in enumerate(zip(frontier, out[-1])):
+                ascents = ascents_of.get(dy)
+                if ascents is None:
+                    ascents = ascents_of[dy] = [
+                        (s, couplings[s],
+                         dy & ~sum(1 << t for t, _ in couplings[s]) | 1 << s)
+                        for s in range(n) if not dy >> s & 1]
+                for s, coupled, mask in ascents:
+                    child = list(y)
+                    if ring is None:
+                        v = y[s]
+                        for t, c in coupled:
+                            u = child[t] = y[t] + c * v
+                            if u < 0:
+                                mask |= 1 << t
+                        child[s] = -v
+                    else:
+                        v = y[s * d:(s + 1) * d]
+                        for t, c in coupled:
+                            base = t * d
+                            if c.__class__ is int:
+                                for i in range(d):
+                                    child[base + i] += c * v[i]
+                            else:
+                                for i, row in enumerate(c, base):
+                                    for j, e in row:
+                                        child[i] += e * v[j]
+                        child[s * d:(s + 1) * d] = [-x for x in v]
+                    child = tuple(child)
+                    if child in seen:
                         continue
-                    child = self._step(y, s)
-                    if child not in seen:
-                        seen.add(child)
-                        nxt.append(child)
-                        layer.append((p, s, self._mask(child)))
+                    seen.add(child)
+                    nxt.append(child)
+                    if ring is not None:
+                        # signs in Z[c] cost more: decided for new elements only
+                        for t, _ in coupled:
+                            u = child[t * d:(t + 1) * d]
+                            if min(u) < 0 and sign(u) < 0:   # no negative coordinate: positive
+                                mask |= 1 << t
+                    layer.append((p, s, mask))
             out.append(layer)
             frontier = nxt
             if not layer:
@@ -569,18 +610,21 @@ def cross_check_oracles(matrix: CoxeterMatrix, horizon: int,
         raise ValueError("horizon must be nonnegative")
     if oracle is None:
         oracle = WordOracle(matrix)
+    # with the ball built, every geometric parent (length below the horizon)
+    # has its full row in the table, so the walk reads the table directly
+    sizes = oracle.sphere_sizes(horizon)
+    rank, table, descents = oracle.rank, oracle._table, oracle._descents
     layers = GeometricOracle(matrix).layers(horizon)
     mismatches = []
     ids = []
     for layer in layers:
-        ids = [0 if p is None else oracle.times(ids[p], s) for p, s, _ in layer]
+        ids = [0 if p is None else table[ids[p] * rank + s] for p, s, _ in layer]
         for i, (_, _, numeric) in zip(ids, layer):
-            symbolic = oracle.descents(i)
-            if numeric != symbolic:
-                mismatches.append((oracle.word(i), symbolic, numeric))
+            if numeric != descents[i]:
+                mismatches.append((oracle.word(i), descents[i], numeric))
     return CrossCheckReport(
         horizon=horizon,
-        symbolic_sizes=oracle.sphere_sizes(horizon),
+        symbolic_sizes=sizes,
         numeric_sizes=[len(layer) for layer in layers],
         descent_mismatches=mismatches,
     )

@@ -374,10 +374,73 @@ def test_id_accessors_reject_ids_outside_the_table():
             o.word(i)
         with pytest.raises(ValueError, match=f"element id {i} is not in the table"):
             o.descents(i)
+        # times(-1, 0) once read the last row of the table and returned 3
+        with pytest.raises(ValueError, match=f"element id {i} is not in the table"):
+            o.times(i, 0)
     fresh = WordOracle(get("free-product-3").matrix)
     assert fresh.word(0) == () and fresh.descents(0) == 0
     with pytest.raises(ValueError, match="element id 1 is not in the table"):
         fresh.word(1)
+
+
+# ---------------------------------------------------------------------------
+# the sphere kernel against the walk on every ascent
+# ---------------------------------------------------------------------------
+
+def _arrays(oracle, horizon):
+    """The word oracle's four arrays, with the ball built to the horizon."""
+    oracle.sphere_sizes(horizon)
+    return bytes(oracle._last), oracle._descents, oracle._table, oracle._starts
+
+
+def _reference_arrays(matrix, horizon):
+    """The same arrays from the walk on every ascent (``_WordTupleOracle``)."""
+    ref = _WordTupleOracle(matrix)
+    sizes = [len(ref.sphere(k)) for k in range(horizon + 1)]
+    if 0 in sizes:
+        # a finite group: the table stops after its first empty sphere
+        sizes = sizes[:sizes.index(0) + 1]
+    starts = [0] + list(itertools.accumulate(sizes))
+    last = bytes(w[-1] if w else 0 for w in ref._words)
+    return last, ref._descents, ref._table, starts
+
+
+def _assert_same_tables(matrix, horizon):
+    assert _arrays(WordOracle(matrix), horizon) == _reference_arrays(matrix, horizon)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
+def test_extend_matches_the_walk_on_catalog_systems(entry):
+    _assert_same_tables(entry.matrix, 10)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_extend_matches_the_walk_on_shipped_systems(path):
+    _assert_same_tables(parse_coxeter_file(path.read_text()), 10)
+
+
+@st.composite
+def systems_up_to_rank_5(draw):
+    rank = draw(st.integers(min_value=1, max_value=5))
+    pairs = {(i, j): draw(st.sampled_from([2, 3, 4, 5, 6, INFINITY]))
+             for i in range(rank) for j in range(i + 1, rank)}
+    return coxeter_matrix(rank, pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_up_to_rank_5())
+def test_extend_matches_the_walk_on_random_systems(matrix):
+    _assert_same_tables(matrix, 7)
+
+
+def test_free_ascent_needs_the_commuting_partners():
+    # leave the m = 2 partners out of the masks: an ascent s of w with a
+    # commuting descent t counts as free, and v = w*s loses its descent t
+    matrix = get("racg-4cycle").matrix
+    broken = WordOracle(matrix)
+    broken._partner_masks = [sum(1 << t for t, m in p if m != 2) for p in broken._partners]
+    assert broken._partner_masks != WordOracle(matrix)._partner_masks
+    assert _arrays(broken, 10) != _reference_arrays(matrix, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +560,93 @@ def test_cross_check_descent_mismatch_is_reported(monkeypatch):
     assert rep.symbolic_sizes == rep.numeric_sizes
     assert rep.descent_mismatches == [((0,), 0b001, 0b000)]
     assert not rep.passed
+
+
+def test_cross_check_reports_a_word_oracle_descent_mismatch():
+    # one word-oracle mask flipped after the ball is built: the table-level
+    # walk reads it and reports exactly that element
+    matrix = get("a3").matrix
+    o = WordOracle(matrix)
+    assert o.sphere_sizes(6)[1] == 3
+    o._descents[1] ^= 0b010
+    rep = cross_check_oracles(matrix, 6, o)
+    assert rep.symbolic_sizes == rep.numeric_sizes
+    assert rep.descent_mismatches == [((0,), 0b011, 0b001)]
+    assert not rep.passed
+
+
+def _step_and_mask_layers(geometric, horizon):
+    """The breadth-first search with a separate step and a from-scratch
+    descent mask per new element: the reference for the inlined search."""
+    n, ring, couplings = geometric.rank, geometric.ring, geometric._couplings
+
+    def step(y, s):
+        out = list(y)
+        if ring is None:
+            v = y[s]
+            for t, c in couplings[s]:
+                out[t] += c * v
+            out[s] = -v
+            return tuple(out)
+        d = ring.degree
+        v = y[s * d:(s + 1) * d]
+        for t, c in couplings[s]:
+            base = t * d
+            if c.__class__ is int:
+                for i in range(d):
+                    out[base + i] += c * v[i]
+            else:
+                for i, row in enumerate(c, base):
+                    for j, e in row:
+                        out[i] += e * v[j]
+        out[s * d:(s + 1) * d] = [-x for x in v]
+        return tuple(out)
+
+    def mask(y):
+        if ring is None:
+            return sum(1 << t for t, v in enumerate(y) if v < 0)
+        d = ring.degree
+        return sum(1 << t for t in range(n)
+                   if min(y[t * d:(t + 1) * d]) < 0 and ring.sign(y[t * d:(t + 1) * d]) < 0)
+
+    frontier = [geometric._identity]
+    out = [[(None, None, 0)]]
+    for _ in range(horizon):
+        layer, nxt, seen = [], [], set()
+        for p, (y, (_, _, dy)) in enumerate(zip(frontier, out[-1])):
+            for s in range(n):
+                if dy >> s & 1:
+                    continue
+                child = step(y, s)
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+                    layer.append((p, s, mask(child)))
+        out.append(layer)
+        frontier = nxt
+        if not layer:
+            break
+    while len(out) <= horizon:
+        out.append([])
+    return out
+
+
+@pytest.mark.parametrize("name,horizon,integral", [
+    ("free-product-3", 10, True), ("tilde-a2", 12, True), ("racg-4cycle", 10, True),
+    ("a3", 8, True), ("h3", 16, False), ("b3", 10, False), ("triangle-237", 14, False),
+    ("triangle-244", 12, False), ("i2-8", 10, False),
+])
+def test_layers_match_the_step_and_mask_search(name, horizon, integral):
+    g = oracle_module.GeometricOracle(get(name).matrix)
+    assert (g.ring is None) == integral
+    assert g.layers(horizon) == _step_and_mask_layers(g, horizon)
+
+
+@settings(max_examples=20, deadline=None)
+@given(systems_up_to_rank_5())
+def test_layers_match_the_step_and_mask_search_on_random_systems(matrix):
+    g = oracle_module.GeometricOracle(matrix)
+    assert g.layers(5) == _step_and_mask_layers(g, 5)
 
 
 @st.composite
