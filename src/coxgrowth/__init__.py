@@ -8,8 +8,7 @@ and an exact reflection (Tits-cone) representation.
 """
 
 from .catalog import ENTRIES, get, names
-from .census import (SimplexRecord, census_by_type, enumerate_simplices,
-                     euler_series, panel_union_euler)
+from .census import census_by_type, euler_series, panel_union_euler
 from .classify import FiniteTypeInfo, classify, spherical_subsets
 from .coxeter import (INFINITY, CoxeterMatrix, CoxParseError, bits_of,
                       coxeter_matrix, format_subset, mask_of,
@@ -34,8 +33,7 @@ __all__ = [
     "coset_components", "coset_decomposition_check", "cross_check_oracles",
     "GrowthTable", "InvariantViolation", "growth_series", "nerve_coefficients",
     "verify_identity", "verify_identities",
-    "SimplexRecord", "census_by_type", "enumerate_simplices", "euler_series",
-    "panel_union_euler",
+    "census_by_type", "euler_series", "panel_union_euler",
     "ENTRIES", "names", "get",
     "__version__",
 ]

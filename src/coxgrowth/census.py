@@ -1,8 +1,8 @@
 """Simplex censuses of the chamber systems attached to a Coxeter system.
 
 Three combinatorial models share one piece of coset bookkeeping: a simplex is
-a coset w * W_T together with kind-specific type data, and it is recorded by
-the canonical word of the coset's unique shortest element.
+a coset w * W_T together with kind-specific type data, and it is recorded at
+the coset's unique shortest element.
 
 * ``"coxeter"`` -- the chamber is a full simplex; simplices are cosets
   w * W_T over ALL proper subsets T, with dimension |S| - |T| - 1.
@@ -21,21 +21,17 @@ all records; the per-type slices have exact closed forms in terms of the
 growth table.
 
 A coset w * W_T is recorded at its shortest element u, and u is shortest
-exactly when its right descent set misses T, so the records at u depend on u
-only through its length and descent mask.  The counters -- ``census_by_type``,
-the one-pass API that fills every type's slice and record count at once and
-attaches its closed form for comparison, and ``euler_series`` (the total) --
-therefore walk the (length, descent-mask) classes of the ball and take each
-class once, weighted by its size.  Only ``enumerate_simplices`` walks the
-census record by record, because its records carry the canonical word of
-each coset.
-
-The class walk needs only two numbers per type: the signed sum of (-1)^dim
-over its faces and their number.  A coxeter or tits type has one face; for
-davis the numbers are e_T and c_T, the signed sum and the count of the
-spherical chains starting at T, which :func:`chain_sums` counts by a
-recursion without listing a chain.  The chains are listed only for the
-record walk, and the tests hold the two walks to each other.
+exactly when its right descent set misses T (Bjorner-Brenti, *Combinatorics
+of Coxeter Groups*, 2.4).  So the records of type T at u depend on u only
+through its length and descent mask, and :func:`_weights` gives what they
+are worth at any such chamber: a length shift, the signed sum of (-1)^dim
+over them and their number.  The census is a weighted class walk:
+``census_by_type`` (every type's slice and record count in one pass, with
+its closed form attached for comparison) and ``euler_series`` (the total)
+take each (length, descent-mask) class of the ball once, weighted by its
+size and by that table, which the face-length check and the panel unions
+also read.  The element-level reference, which walks the records one by
+one from per-element descent sets and listed chains, lives in the tests.
 
 Each public call classifies its system once (:func:`classify_all`; the
 census-by-type calls read the classification of the one growth table they
@@ -46,38 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classify import classify_all, spherical_subsets
+from .classify import classify_all
 from .coxeter import CoxeterMatrix, Mask, format_subset, submasks
 from .growth import GrowthTable, _nerve_coefficients, _sign
-from .oracle import WordOracle, coset_components
+from .oracle import WordOracle, _checked_oracle, coset_components
 from .ratfunc import RatFunc, series_expand
 
 KINDS = ("coxeter", "davis", "tits")
-
-
-@dataclass(frozen=True)
-class SimplexRecord:
-    kind: str
-    rep: tuple            # canonical word of the coset's shortest element
-    type_mask: Mask       # T for coxeter/tits; the chain minimum for davis
-    chain: tuple          # davis only: the full chain of subset masks, else None
-    dim: int
-    length_value: int
-
-
-def spherical_chains(spherical: tuple) -> tuple:
-    """All strict chains T0 < T1 < ... < Tk of the given spherical subsets
-    (in increasing mask order, as :func:`spherical_subsets` lists them), as
-    mask tuples, grouped by T0 in that order."""
-    chains_from = {}
-    for i in range(len(spherical) - 1, -1, -1):    # a strict superset is a larger mask
-        t = spherical[i]
-        out = [(t,)]
-        for u in spherical[i + 1:]:
-            if u & t == t:
-                out.extend((t,) + c for c in chains_from[u])
-        chains_from[t] = out
-    return tuple(c for t in spherical for c in chains_from[t])
 
 
 def chain_sums(spherical: tuple) -> dict:
@@ -103,31 +74,46 @@ def chain_sums(spherical: tuple) -> dict:
 
 def valid_type_masks(matrix: CoxeterMatrix, kind: str) -> list:
     """The subset types a record of this kind can carry."""
-    return _valid_types(matrix, kind, spherical_subsets(matrix))
+    return list(_weights(matrix, kind, classify_all(matrix)))
 
 
-def _valid_types(matrix: CoxeterMatrix, kind: str, spherical: tuple) -> list:
-    full = matrix.full_mask
+def _weights(matrix: CoxeterMatrix, kind: str, classified) -> dict:
+    """What the records of each valid type T at one chamber u are worth, in
+    valid-type order: T -> (shift, signed, count).
+
+    They have length value length(u) + shift; signed is the sum of (-1)^dim
+    over them and count is their number:
+
+        coxeter:  every proper T            (0, (-1)^{|S|-|T|-1}, 1)
+        tits:     every spherical proper T  (m_T, (-1)^{|S|-|T|-1}, 1)
+        davis:    every spherical T         (0, e_T, c_T)
+
+    with m_T the longest length of W_T and e_T, c_T from :func:`chain_sums`.
+    ``classified`` is the system's ``classify_all(matrix)``; kind "coxeter"
+    does not read it.
+    """
+    rank, full = matrix.rank, matrix.full_mask
     if kind == "coxeter":
-        return [t for t in range(full + 1) if t != full]
-    if kind == "davis":
-        return list(spherical)
+        return {t: (0, _sign(rank - t.bit_count() - 1), 1) for t in range(full)}
     if kind == "tits":
-        return [t for t in spherical if t != full]
+        infos, spherical = classified
+        return {t: (infos[t].longest_length, _sign(rank - t.bit_count() - 1), 1)
+                for t in spherical if t != full}
+    if kind == "davis":
+        return {t: (0, e, c) for t, (e, c) in chain_sums(classified[1]).items()}
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
 def _resolve(matrix: CoxeterMatrix, kind: str, horizon, oracle, classified):
-    """Check a census request; return (valid types, horizon, oracle).
+    """Check a census request; return (weights, horizon, oracle).
 
     ``classified`` is the system's ``classify_all(matrix)``.  For a finite
     group with kind "coxeter" or "tits" the horizon may be omitted and
     defaults to the longest element length, so the whole (finite) complex is
     covered.  Kind "davis" requires an infinite group.
     """
-    infos, spherical = classified
-    types = _valid_types(matrix, kind, spherical)
-    info = infos[matrix.full_mask]
+    weights = _weights(matrix, kind, classified)
+    info = classified[0][matrix.full_mask]
     if kind == "davis" and info.finite:
         raise ValueError("the davis chamber model is only defined for infinite groups")
     if horizon is None:
@@ -136,110 +122,38 @@ def _resolve(matrix: CoxeterMatrix, kind: str, horizon, oracle, classified):
         horizon = info.longest_length
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    if oracle is None:
-        oracle = WordOracle(matrix)
-    return types, horizon, oracle
-
-
-def _faces(matrix: CoxeterMatrix, kind: str, classified) -> dict:
-    """Each valid type's faces, in valid-type order: type -> (shift,
-    ((chain, dim), ...)).
-
-    A face of type T recorded at a chamber u has length value length(u) +
-    shift, the same shift for every face of T: 0 for coxeter and davis, the
-    longest length of W_T for tits.  Davis faces are the spherical chains
-    starting at T, listed here for the record walk only; the class walk
-    counts them by :func:`chain_sums`.  The other kinds have one face per
-    type, with no chain.
-    """
-    infos, spherical = classified
-    if kind == "davis":
-        chains = {}
-        for chain in spherical_chains(spherical):
-            chains.setdefault(chain[0], []).append((chain, len(chain) - 1))
-        return {t: (0, tuple(c)) for t, c in chains.items()}
-    return {t: (infos[t].longest_length if kind == "tits" else 0,
-                ((None, matrix.rank - t.bit_count() - 1),))
-            for t in _valid_types(matrix, kind, spherical)}
-
-
-def _types_at(matrix: CoxeterMatrix, kind: str, descents: Mask, faces: dict):
-    """The types recorded at a chamber with these descents: the valid types
-    inside the complement of the descent set."""
-    free = matrix.full_mask & ~descents
-    types = submasks(free) if kind == "coxeter" else faces
-    return (t for t in types if t & free == t and t in faces)
-
-
-def _simplices(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOracle,
-               classified):
-    """Yield (rep id, type_mask, chain, dim, length_value) for every simplex of
-    the census with length value <= horizon, in no particular order.
-
-    A coset of type T is recorded by its shortest element u, recognized by its
-    descent set missing T entirely (Bjorner-Brenti, *Combinatorics of Coxeter
-    Groups*, 2.4), so the types at u are the submasks of the complement of its
-    descent set.  The arguments are those returned by :func:`_resolve`, and
-    the classification it read.
-    """
-    faces = _faces(matrix, kind, classified)
-    for k in range(horizon + 1):
-        for i in oracle.sphere_ids(k):
-            for t in _types_at(matrix, kind, oracle.descents(i), faces):
-                shift, chains = faces[t]
-                if k + shift <= horizon:
-                    for chain, dim in chains:
-                        yield i, t, chain, dim, k + shift
+    return weights, horizon, _checked_oracle(matrix, oracle)
 
 
 def _class_totals(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOracle,
-                  classified):
-    """Every type's census slice and record count, from the (length, descent
-    mask) classes of the ball rather than its elements, in valid-type order.
+                  weights: dict):
+    """Every type's census slice and record count, in valid-type order, from
+    the (length, descent mask) classes of the ball rather than its elements.
 
-    The records of type T at a chamber depend on the chamber only through
-    its length k and descent mask d (see :func:`_simplices`), so a class of
-    n chambers adds n * sum (-1)^dim over T's faces to T's slice at k +
-    shift, and n * (number of faces) to its record count.
+    A class of n chambers of length k records every type T inside the
+    complement of its descents, so it adds n * signed to T's slice at k +
+    shift and n * count to T's record count (see :func:`_weights`).
     """
-    if kind == "davis":
-        folded = {t: (0, e, c) for t, (e, c) in chain_sums(classified[1]).items()}
-    else:
-        folded = {t: (shift, sum(_sign(dim) for _, dim in chains), len(chains))
-                  for t, (shift, chains) in _faces(matrix, kind, classified).items()}
-    slices = {t: [0] * (horizon + 1) for t in folded}
-    counts = dict.fromkeys(folded, 0)
+    slices = {t: [0] * (horizon + 1) for t in weights}
+    counts = dict.fromkeys(weights, 0)
     for k in range(horizon + 1):
         for d, n in oracle.descent_counts(k).items():
-            for t in _types_at(matrix, kind, d, folded):
-                shift, signed, size = folded[t]
-                if k + shift <= horizon:
-                    slices[t][k + shift] += signed * n
-                    counts[t] += size * n
+            free = matrix.full_mask & ~d
+            for t in submasks(free) if kind == "coxeter" else weights:
+                if t & free == t and t in weights:
+                    shift, signed, count = weights[t]
+                    if k + shift <= horizon:
+                        slices[t][k + shift] += signed * n
+                        counts[t] += count * n
     return slices, counts
-
-
-def enumerate_simplices(matrix: CoxeterMatrix, kind: str, horizon: int = None,
-                        oracle: WordOracle = None) -> list:
-    """All simplex records with length value <= horizon, sorted deterministically.
-
-    The horizon may be omitted for a finite group with kind "coxeter" or
-    "tits"; kind "davis" requires an infinite group.
-    """
-    classified = classify_all(matrix)
-    _, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
-    records = [SimplexRecord(kind, oracle.word(i), *rest)
-               for i, *rest in _simplices(matrix, kind, horizon, oracle, classified)]
-    records.sort(key=lambda r: (r.length_value, r.type_mask, r.chain or (), r.rep))
-    return records
 
 
 def euler_series(matrix: CoxeterMatrix, kind: str, horizon: int = None,
                  oracle: WordOracle = None) -> list:
     """Coefficients of sum (-1)^dim t^length over the census, up to the horizon."""
     classified = classify_all(matrix)
-    _, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
-    slices, _ = _class_totals(matrix, kind, horizon, oracle, classified)
+    weights, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
+    slices, _ = _class_totals(matrix, kind, horizon, oracle, weights)
     coeffs = [0] * (horizon + 1)
     for census in slices.values():
         for length, c in enumerate(census):
@@ -264,22 +178,26 @@ class TypeCensus:
 
 
 def _type_census(table: GrowthTable, kind: str, horizon: int, t: Mask,
-                 census: list, records: int, chis: dict) -> TypeCensus:
+                 census: list, records: int, chis: dict, quotients: dict) -> TypeCensus:
     """Attach type t's closed form (see :func:`census_by_type`), read from the
-    system's table, to its slice; ``chis`` holds the nerve coefficients (kind
-    "davis" only).
+    system's table apart from :func:`_weights`, to its slice; ``chis`` holds
+    the nerve coefficients (kind "davis" only).
 
-    Every kind's closed form is coeff * t^shift * W / W_T, built as one
-    fraction: the shift is 0, or m_T for tits, since W_T is a palindromic
-    polynomial of degree m_T, so W_T(1/t) = t^{-m_T} * W_T(t).
+    Every kind's closed form is coeff * t^shift * W / W_T: the shift is 0, or
+    m_T for tits, since W_T is a palindromic polynomial of degree m_T, so
+    W_T(1/t) = t^{-m_T} * W_T(t).  ``quotients`` keeps the reduced W / W_T
+    per W_T met in the call; its denominator is nonzero at t = 0 (W / W_T is
+    a power series), so scaling by coeff * t^shift needs no second gcd.
     """
-    rank = table.matrix.rank
-    w = table.series()
     wt = table.series(t)
+    if wt not in quotients:
+        w = table.series()
+        quotients[wt] = RatFunc(w.num * wt.den, w.den * wt.num)
+    base = quotients[wt]
     size = t.bit_count()
-    coeff = chis[t] * _sign(size) if kind == "davis" else _sign(rank - size - 1)
+    coeff = chis[t] * _sign(size) if kind == "davis" else _sign(table.matrix.rank - size - 1)
     shift = wt.num.degree if kind == "tits" else 0
-    closed = RatFunc((coeff * w.num * wt.den).shifted(shift), w.den * wt.num)
+    closed = RatFunc.from_coprime((coeff * base.num).shifted(shift), base.den)
     return TypeCensus(kind, t, tuple(census), closed,
                       tuple(series_expand(closed, horizon)), records)
 
@@ -297,11 +215,12 @@ def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
     """
     table = GrowthTable(matrix)
     classified = (table.infos, table.spherical)
-    types, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
-    slices, counts = _class_totals(matrix, kind, horizon, oracle, classified)
+    weights, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
+    slices, counts = _class_totals(matrix, kind, horizon, oracle, weights)
     chis = _nerve_coefficients(matrix.rank, table.spherical) if kind == "davis" else None
-    return [_type_census(table, kind, horizon, t, slices[t], counts[t], chis)
-            for t in types]
+    quotients = {}
+    return [_type_census(table, kind, horizon, t, slices[t], counts[t], chis, quotients)
+            for t in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +249,19 @@ def check_face_length_drop(matrix: CoxeterMatrix, kind: str, horizon: int = None
     where length(face) is the length of the shortest chamber containing the
     face, computed independently as the minimum over the face's coset piece
     inside the ball (reachable by right multiplications, never through
-    descent-set reasoning).
+    descent-set reasoning).  Each type counts its ``count`` faces per chamber
+    (see :func:`_weights`).
     """
     if kind not in ("coxeter", "davis"):
         raise ValueError("the face-length criterion applies to kinds 'coxeter' and 'davis'")
     classified = classify_all(matrix)
-    types, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
+    weights, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
     # the ball's ids are 0, 1, ... in ShortLex order, so by length
     lengths = [k for k, size in enumerate(oracle.sphere_sizes(horizon)) for _ in range(size)]
-    if kind == "coxeter":
-        weighted_types = [(t, 1) for t in types]
-    else:
-        weighted_types = [(t, c) for t, (_, c) in chain_sums(classified[1]).items()]
 
     report = FaceLengthReport(kind=kind, horizon=horizon,
                               chambers_checked=len(lengths), simplices_checked=0)
-    for t, weight in weighted_types:
+    for t, (_, _, count) in weights.items():
         comp = coset_components(oracle, horizon, t)
         comp_min = {}
         for cid, length in zip(comp, lengths):
@@ -356,7 +272,7 @@ def check_face_length_drop(matrix: CoxeterMatrix, kind: str, horizon: int = None
             face_length = comp_min[cid]
             drops = face_length < length
             meets = oracle.descents(i) & t != 0
-            report.simplices_checked += weight
+            report.simplices_checked += count
             if drops != meets:
                 report.counterexamples.append(
                     f"chamber {oracle.word(i)}, type {format_subset(t)}: "
@@ -369,22 +285,23 @@ def panel_union_euler(matrix: CoxeterMatrix, kind: str, subset: Mask) -> int:
     """Euler characteristic of the union of panels Y_s, s in ``subset``,
     inside one chamber of the given kind.
 
-    A face belongs to the union exactly when its type meets ``subset``.  For
-    kind "davis" every subset of ``subset`` must be spherical (equivalently,
-    ``subset`` itself is), which holds for every descent set.
+    A face belongs to the union exactly when its type meets ``subset``, so
+    the union's Euler characteristic is the sum of ``signed`` (see
+    :func:`_weights`) over those types.  For kind "davis" every subset of
+    ``subset`` must be spherical (equivalently, ``subset`` itself is), which
+    holds for every descent set.
     """
     if kind not in ("coxeter", "davis"):
         raise ValueError("panel unions live in the chamber models 'coxeter' and 'davis'")
     full = matrix.full_mask
     if subset & ~full:
         raise ValueError("subset is not within the generator set")
-    rank = matrix.rank
-    if kind == "coxeter":
-        return sum(_sign(rank - t.bit_count() - 1)
-                   for t in submasks(full, proper=True) if t & subset)
-    infos, spherical = classify_all(matrix)
-    if infos[full].finite:
-        raise ValueError("the davis chamber model is only defined for infinite groups")
-    if not infos[subset].finite:
-        raise ValueError("davis panel unions need every subset of the set to be spherical")
-    return sum(e for t, (e, _) in chain_sums(spherical).items() if t & subset)
+    classified = None               # the coxeter weights read no classification
+    if kind == "davis":
+        classified = classify_all(matrix)
+        if classified[0][full].finite:
+            raise ValueError("the davis chamber model is only defined for infinite groups")
+        if not classified[0][subset].finite:
+            raise ValueError("davis panel unions need every subset of the set to be spherical")
+    return sum(signed for t, (_, signed, _) in _weights(matrix, kind, classified).items()
+               if t & subset)

@@ -234,6 +234,15 @@ class WordOracle:
         return members
 
 
+def _checked_oracle(matrix: CoxeterMatrix, oracle: WordOracle = None) -> WordOracle:
+    """``oracle`` if it was built for ``matrix``, or a new word oracle for it."""
+    if oracle is None:
+        return WordOracle(matrix)
+    if oracle.matrix != matrix:
+        raise ValueError("the oracle was built for another Coxeter system")
+    return oracle
+
+
 # ---------------------------------------------------------------------------
 # coset structure
 # ---------------------------------------------------------------------------
@@ -263,6 +272,8 @@ def coset_components(oracle: WordOracle, horizon: int, subset: Mask) -> list:
     whole coset (cosets are connected under these moves); pieces cut by the
     horizon are proper subsets.
     """
+    if subset & ~oracle.matrix.full_mask:
+        raise ValueError("subset is not within the generator set")
     sizes = oracle.sphere_sizes(horizon)
     size = sum(sizes)
     inner = size - sizes[-1]          # the ids of length below the horizon
@@ -301,8 +312,7 @@ def coset_decomposition_check(matrix: CoxeterMatrix, subset: Mask, horizon: int,
     info = classify(matrix, subset)
     if not info.finite:
         raise ValueError("coset check requires a spherical subset")
-    if oracle is None:
-        oracle = WordOracle(matrix)
+    oracle = _checked_oracle(matrix, oracle)
     members = oracle.subgroup_elements(subset)
     # the ball's ids are 0, 1, ... in ShortLex order, so by length
     lengths = [k for k, size in enumerate(oracle.sphere_sizes(horizon)) for _ in range(size)]
@@ -608,8 +618,7 @@ def cross_check_oracles(matrix: CoxeterMatrix, horizon: int,
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    if oracle is None:
-        oracle = WordOracle(matrix)
+    oracle = _checked_oracle(matrix, oracle)
     # with the ball built, every geometric parent (length below the horizon)
     # has its full row in the table, so the walk reads the table directly
     sizes = oracle.sphere_sizes(horizon)

@@ -1,102 +1,113 @@
-"""Simplex censuses, Euler series, face-length drops, and panel unions."""
+"""Simplex censuses, Euler series, face-length drops, and panel unions; the
+class walk is held to an element-level reference walk written here."""
 
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxgrowth import (ENTRIES, WordOracle, census_by_type, classify,
-                       enumerate_simplices, euler_series, get,
+from coxgrowth import (ENTRIES, GrowthTable, RatFunc, WordOracle, census_by_type,
+                       classify, euler_series, get, nerve_coefficients,
                        panel_union_euler, spherical_subsets)
 from coxgrowth.census import (KINDS, chain_sums, check_face_length_drop,
-                              spherical_chains, valid_type_masks)
+                              valid_type_masks)
 from test_growth import systems_up_to_rank_5, systems_up_to_rank_6
 
 
 # ---------------------------------------------------------------------------
-# record-level enumeration
+# the element-level reference
 # ---------------------------------------------------------------------------
 
+def spherical_chains(spherical):
+    """All strict chains T0 < T1 < ... < Tk of the given spherical subsets
+    (increasing mask order), as mask tuples grouped by T0 in that order."""
+    chains_from = {}
+    for i in range(len(spherical) - 1, -1, -1):    # a strict superset is a larger mask
+        t = spherical[i]
+        chains_from[t] = [(t,)] + [(t,) + c for u in spherical[i + 1:] if u & t == t
+                                   for c in chains_from[u]]
+    return [c for t in spherical for c in chains_from[t]]
+
+
+def reference_faces(matrix, kind, oracle):
+    """Type -> (length shift, the dimension of each of its faces), from the
+    definitions: one face of dimension |S| - |T| - 1 per proper T (coxeter)
+    or spherical proper T (tits, shifted to the coset's longest element),
+    and the listed spherical chains from T (davis)."""
+    rank, full = matrix.rank, matrix.full_mask
+    spherical = spherical_subsets(matrix)
+    if kind == "davis":
+        faces = {t: (0, []) for t in spherical}
+        for chain in spherical_chains(spherical):
+            faces[chain[0]][1].append(len(chain) - 1)
+        return faces
+    if kind == "coxeter":
+        return {t: (0, [rank - t.bit_count() - 1]) for t in range(full)}
+    return {t: (len(oracle.subgroup_elements(t)[-1]), [rank - t.bit_count() - 1])
+            for t in spherical if t != full}
+
+
+def reference_records(matrix, kind, horizon, oracle):
+    """Every census record as (chamber id, type, dim, length value), chamber
+    by chamber: a coset u * W_T is recorded at u when u's descents miss T."""
+    faces = reference_faces(matrix, kind, oracle)
+    for k in range(horizon + 1):
+        for i in oracle.sphere_ids(k):
+            for t, (shift, dims) in faces.items():
+                if not oracle.descents(i) & t and k + shift <= horizon:
+                    yield from ((i, t, dim, k + shift) for dim in dims)
+
+
 def test_a2_coxeter_full_records():
-    m = get("a2").matrix
-    records = enumerate_simplices(m, "coxeter")
-    # hexagon: 6 chambers (T={}) and 6 vertices (3 cosets each of the two
-    # parabolic vertex types)
-    assert len(records) == 12
-    by_type = {}
-    for rec in records:
-        by_type.setdefault(rec.type_mask, []).append(rec)
-    assert sorted(len(v) for v in by_type.values()) == [3, 3, 6]
-    chambers = sorted(rec.length_value for rec in by_type[0])
-    assert chambers == [0, 1, 1, 2, 2, 3]
-    assert sorted(rec.length_value for rec in by_type[0b01]) == [0, 1, 2]
+    # hexagon: 6 chambers (edges, T={}) at lengths [0, 1, 1, 2, 2, 3] and 6
+    # vertices (3 cosets each of the two parabolic vertex types)
+    slices = census_by_type(get("a2").matrix, "coxeter")
+    assert [tc.records for tc in slices] == [6, 3, 3]
+    assert slices[0].census == (-1, -2, -2, -1)
+    assert slices[1].census == (1, 1, 1, 0)
 
 
 def test_horizon_zero_counts_identity_faces():
-    m = get("tilde-a2").matrix
-    records = enumerate_simplices(m, "coxeter", 0)
     # only the identity chamber, which carries every proper face
-    assert len(records) == 2 ** 3 - 1
-    assert all(rec.rep == () for rec in records)
-
-
-def test_records_are_deterministic_and_sorted():
-    m = get("inf-dihedral").matrix
-    records = enumerate_simplices(m, "coxeter", 4)
-    assert records == sorted(records, key=lambda r:
-                             (r.length_value, r.type_mask, r.chain or (), r.rep))
-    assert records == enumerate_simplices(m, "coxeter", 4)
-
-
-def test_davis_record_shape():
-    m = get("inf-dihedral").matrix
-    records = enumerate_simplices(m, "davis", 2)
-    # chains on spherical subsets {}, {1}, {2}: vertices {},{1},{2} and
-    # edges ({},{1}), ({},{2}) per chamber, when the chamber is the coset
-    # minimum for the chain's smallest subset
-    by_dim = {}
-    for rec in records:
-        by_dim[rec.dim] = by_dim.get(rec.dim, 0) + 1
-    # 5 chambers in the ball: vertices 5 (type {}) + 2+2 (types {1},{2} on
-    # coset minima) + edges 2 per chamber counted at coset minima
-    assert records
-    assert all(rec.chain is not None for rec in records)
-    assert all(rec.type_mask == rec.chain[0] for rec in records)
+    slices = census_by_type(get("tilde-a2").matrix, "coxeter", 0)
+    assert sum(tc.records for tc in slices) == 2 ** 3 - 1
+    assert all(tc.records == 1 and len(tc.census) == 1 for tc in slices)
 
 
 def test_davis_rejects_finite_groups():
     with pytest.raises(ValueError, match="infinite"):
-        enumerate_simplices(get("a2").matrix, "davis", 3)
+        census_by_type(get("a2").matrix, "davis", 3)
 
 
 def test_infinite_needs_horizon():
     with pytest.raises(ValueError, match="horizon"):
-        enumerate_simplices(get("inf-dihedral").matrix, "coxeter")
+        euler_series(get("inf-dihedral").matrix, "coxeter")
+
+
+def test_census_rejects_an_oracle_of_another_system(oracle_for):
+    for call in (euler_series, census_by_type, check_face_length_drop):
+        with pytest.raises(ValueError, match="another Coxeter system"):
+            call(get("a2").matrix, "coxeter", 3, oracle_for("tilde-a2"))
 
 
 def test_spherical_chains_tilde_a2():
-    chains = spherical_chains(spherical_subsets(get("tilde-a2").matrix))
+    spherical = spherical_subsets(get("tilde-a2").matrix)
+    chains = spherical_chains(spherical)
     # spherical subsets: {}, 3 singletons, 3 pairs.  Singleton chains: 7.
     # Two-step chains: {}<single (3), {}<pair (3), single<pair (6) = 12.
     # Three-step chains: {}<single<pair = 6.
-    assert len([c for c in chains if len(c) == 1]) == 7
-    assert len([c for c in chains if len(c) == 2]) == 12
-    assert len([c for c in chains if len(c) == 3]) == 6
-    assert len(chains) == 25
+    assert Counter(map(len, chains)) == {1: 7, 2: 12, 3: 6}
+    assert sum(c for _, c in chain_sums(spherical).values()) == len(chains) == 25
     for c in chains:
         for a, b in zip(c, c[1:]):
             assert a & b == a and a != b  # strictly increasing inclusions
 
 
 def _assert_chain_sums_match_chains(matrix):
-    spherical = spherical_subsets(matrix)
-    listed = {t: [0, 0] for t in spherical}
-    for chain in spherical_chains(spherical):
-        listed[chain[0]][0] += -1 if (len(chain) - 1) & 1 else 1
-        listed[chain[0]][1] += 1
-    sums = chain_sums(spherical)
-    assert list(sums) == list(spherical)
-    assert {t: list(ec) for t, ec in sums.items()} == listed
+    faces = reference_faces(matrix, "davis", None)     # the listed chains from each T
+    sums = chain_sums(spherical_subsets(matrix))
+    assert list(sums) == list(faces)
+    assert sums == {t: (sum((-1) ** d for d in dims), len(dims)) for t, (_, dims) in faces.items()}
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
@@ -167,14 +178,10 @@ def test_by_type_census_matches_closed_forms(oracle_for):
 
 
 def test_census_by_type_counts_records_per_type(oracle_for):
-    m = get("tilde-a2").matrix
-    o = oracle_for("tilde-a2")
-    for kind in KINDS:
-        counts = Counter(r.type_mask for r in enumerate_simplices(m, kind, 4, o))
-        slices = census_by_type(m, kind, 4, o)
-        assert [tc.type_mask for tc in slices] == valid_type_masks(m, kind)
-        assert {tc.type_mask: tc.records for tc in slices} == \
-            {t: counts[t] for t in valid_type_masks(m, kind)}
+    m, o = get("tilde-a2").matrix, oracle_for("tilde-a2")
+    for kind in KINDS:     # at horizon 4 every type has a record
+        counts = Counter(t for _, t, _, _ in reference_records(m, kind, 4, o))
+        assert {tc.type_mask: tc.records for tc in census_by_type(m, kind, 4, o)} == counts
 
 
 def test_unknown_kind_is_rejected():
@@ -206,13 +213,13 @@ def _kinds(matrix):
 
 
 def _record_totals(matrix, kind, horizon, oracle):
-    """Per type, the signed slice and the record count summed from
-    ``enumerate_simplices`` one record at a time."""
-    slices = {t: [0] * (horizon + 1) for t in valid_type_masks(matrix, kind)}
+    """Per type, in the reference's type order, the signed slice and the
+    record count summed from :func:`reference_records` one record at a time."""
+    slices = {t: [0] * (horizon + 1) for t in reference_faces(matrix, kind, oracle)}
     counts = dict.fromkeys(slices, 0)
-    for rec in enumerate_simplices(matrix, kind, horizon, oracle):
-        slices[rec.type_mask][rec.length_value] += -1 if rec.dim & 1 else 1
-        counts[rec.type_mask] += 1
+    for _, t, dim, length in reference_records(matrix, kind, horizon, oracle):
+        slices[t][length] += -1 if dim & 1 else 1
+        counts[t] += 1
     return slices, counts
 
 
@@ -247,6 +254,31 @@ def test_census_by_type_matches_record_walk_on_random_systems(matrix, horizon):
         _assert_classes_match_records(matrix, kind, horizon, oracle)
 
 
+def _assert_closed_forms_as_before(matrix, oracle):
+    # the reference: each closed form as one general fraction with its own gcd
+    table, chis = GrowthTable(matrix), nerve_coefficients(matrix)
+    w = table.series()
+    for kind in _kinds(matrix):
+        for tc in census_by_type(matrix, kind, 2, oracle):
+            t, size = tc.type_mask, tc.type_mask.bit_count()
+            wt = table.series(t)
+            coeff = chis[t] * (-1) ** size if kind == "davis" else (-1) ** (matrix.rank - size - 1)
+            shift = wt.num.degree if kind == "tits" else 0
+            old = RatFunc((coeff * w.num * wt.den).shifted(shift), w.den * wt.num)
+            assert (tc.closed_form.num, tc.closed_form.den) == (old.num, old.den), (kind, t)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
+def test_closed_forms_as_before_on_catalog(entry, oracle_for):
+    _assert_closed_forms_as_before(entry.matrix, oracle_for(entry.name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems_up_to_rank_5())
+def test_closed_forms_as_before_on_random_systems(matrix):
+    _assert_closed_forms_as_before(matrix, WordOracle(matrix))
+
+
 def test_census_counters_read_no_element(monkeypatch):
     # the counters see the ball only through its (length, descent mask)
     # classes: no per-element descent set and no word
@@ -274,7 +306,7 @@ def test_census_counters_read_no_element(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# face-length drops, panel unions, local sums
+# face-length drops and panel unions
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name,kind,horizon", [
@@ -288,6 +320,31 @@ def test_face_length_drop(name, kind, horizon, oracle_for):
     rep = check_face_length_drop(get(name).matrix, kind, horizon, oracle_for(name))
     assert rep.passed, rep.counterexamples[:3]
     assert rep.simplices_checked > 0
+
+
+def _assert_face_weights_as_before(matrix, oracle):
+    # panel unions and face counts against the listed faces of the reference
+    infos, spherical = classify(matrix, matrix.full_mask), spherical_subsets(matrix)
+    for kind in ("coxeter",) if infos.finite else ("coxeter", "davis"):
+        faces = reference_faces(matrix, kind, oracle)
+        for subset in range(matrix.full_mask + 1) if kind == "coxeter" else spherical:
+            assert panel_union_euler(matrix, kind, subset) == sum(
+                (-1) ** dim for t, (_, dims) in faces.items() if t & subset for dim in dims)
+        rep = check_face_length_drop(matrix, kind, 2, oracle)
+        assert rep.passed, rep.counterexamples[:3]
+        assert rep.simplices_checked == \
+            rep.chambers_checked * sum(len(dims) for _, dims in faces.values())
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
+def test_face_weights_as_before_on_catalog(entry, oracle_for):
+    _assert_face_weights_as_before(entry.matrix, oracle_for(entry.name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems_up_to_rank_5())
+def test_face_weights_as_before_on_random_systems(matrix):
+    _assert_face_weights_as_before(matrix, WordOracle(matrix))
 
 
 def test_face_length_rejects_tits():

@@ -222,6 +222,20 @@ def test_coset_components_partition(oracle_for):
     assert identity_comp == set(o.subgroup_elements(0b011))
 
 
+def test_coset_components_rejects_a_subset_outside_the_generators(oracle_for):
+    for horizon in (0, 1):
+        with pytest.raises(ValueError, match="not within the generator set"):
+            coset_components(oracle_for("a2"), horizon, 1 << 5)
+
+
+def test_oracle_of_another_system_is_rejected(oracle_for):
+    m, other = get("a3").matrix, oracle_for("a2")
+    for call in (lambda: coset_decomposition_check(m, 0b1, 3, other),
+                 lambda: cross_check_oracles(m, 3, other)):
+        with pytest.raises(ValueError, match="another Coxeter system"):
+            call()
+
+
 def test_coset_decomposition_tilde_a2():
     m = get("tilde-a2").matrix
     rep = coset_decomposition_check(m, 0b011, 7)

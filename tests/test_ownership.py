@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from coxgrowth import (GrowthTable, census_by_type, coxeter_matrix, get, growth_series,
-                       serialize_coxeter, verify_identities)
+                       panel_union_euler, serialize_coxeter, verify_identities)
 from coxgrowth.census import KINDS
 from coxgrowth.classify import classify_all
 from coxgrowth.cli import main
@@ -90,6 +90,11 @@ def test_census_by_type_builds_one_table_from_one_classification(kind, tables_bu
     assert all(tc.matches for tc in slices)
     assert len(tables_built) == 1
     assert len(classify_all_calls) == 1
+
+
+def test_coxeter_panel_union_classifies_nothing(classify_all_calls):
+    assert panel_union_euler(get("tilde-a2").matrix, "coxeter", 0b011) == 1
+    assert classify_all_calls == []
 
 
 def test_chi_classifies_once_not_per_subset(tmp_path, classify_all_calls, capsys):
