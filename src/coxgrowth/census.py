@@ -33,22 +33,26 @@ size and by that table, which the face-length check and the panel unions
 also read.  The element-level reference, which walks the records one by
 one from per-element descent sets and listed chains, lives in the tests.
 
-Each public call classifies its system once (:func:`classify_all`; the
-census-by-type calls read the classification of the one growth table they
-build) and passes that down; nothing is cached between calls.
+Each public call first checks its request (:func:`_resolve`, or
+:func:`_check_kind` where it takes no horizon), which classifies the whole
+generator set and no other subset, so a refused request costs no census
+work.  The census then classifies its system once (:func:`classify_all`;
+the census-by-type calls read the classification of the one growth table
+they build) and passes that down; nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classify import classify_all
+from .classify import classify, classify_all
 from .coxeter import CoxeterMatrix, Mask, format_subset, submasks
 from .growth import GrowthTable, _nerve_coefficients, _sign
 from .oracle import WordOracle, _checked_oracle, coset_components
 from .ratfunc import RatFunc, series_expand
 
 KINDS = ("coxeter", "davis", "tits")
+LEMMA_KINDS = ("coxeter", "davis")    # the chamber models; the lemma checks take these
 
 
 def chain_sums(spherical: tuple) -> dict:
@@ -74,6 +78,7 @@ def chain_sums(spherical: tuple) -> dict:
 
 def valid_type_masks(matrix: CoxeterMatrix, kind: str) -> list:
     """The subset types a record of this kind can carry."""
+    _check_kind(matrix, kind)
     return list(_weights(matrix, kind, classify_all(matrix)))
 
 
@@ -89,8 +94,8 @@ def _weights(matrix: CoxeterMatrix, kind: str, classified) -> dict:
         davis:    every spherical T         (0, e_T, c_T)
 
     with m_T the longest length of W_T and e_T, c_T from :func:`chain_sums`.
-    ``classified`` is the system's ``classify_all(matrix)``; kind "coxeter"
-    does not read it.
+    ``kind`` has passed :func:`_check_kind`; ``classified`` is the system's
+    ``classify_all(matrix)``, which kind "coxeter" does not read.
     """
     rank, full = matrix.rank, matrix.full_mask
     if kind == "coxeter":
@@ -99,30 +104,36 @@ def _weights(matrix: CoxeterMatrix, kind: str, classified) -> dict:
         infos, spherical = classified
         return {t: (infos[t].longest_length, _sign(rank - t.bit_count() - 1), 1)
                 for t in spherical if t != full}
-    if kind == "davis":
-        return {t: (0, e, c) for t, (e, c) in chain_sums(classified[1]).items()}
-    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    return {t: (0, e, c) for t, (e, c) in chain_sums(classified[1]).items()}
 
 
-def _resolve(matrix: CoxeterMatrix, kind: str, horizon, oracle, classified):
-    """Check a census request; return (weights, horizon, oracle).
-
-    ``classified`` is the system's ``classify_all(matrix)``.  For a finite
-    group with kind "coxeter" or "tits" the horizon may be omitted and
-    defaults to the longest element length, so the whole (finite) complex is
-    covered.  Kind "davis" requires an infinite group.
-    """
-    weights = _weights(matrix, kind, classified)
-    info = classified[0][matrix.full_mask]
+def _check_kind(matrix: CoxeterMatrix, kind: str, kinds: tuple = KINDS):
+    """Refuse a kind outside ``kinds``, and kind "davis" on a finite group;
+    return the classification of the whole generator set."""
+    if kind not in kinds:
+        raise ValueError(f"kind must be one of {kinds}, got {kind!r}")
+    info = classify(matrix, matrix.full_mask)
     if kind == "davis" and info.finite:
         raise ValueError("the davis chamber model is only defined for infinite groups")
+    return info
+
+
+def _resolve(matrix: CoxeterMatrix, kind: str, horizon, oracle, kinds: tuple = KINDS):
+    """Check a census request before any census work; return (horizon, oracle).
+
+    Past :func:`_check_kind`: for a finite group the horizon may be omitted
+    and defaults to the longest element length, so the whole (finite)
+    complex is covered; an infinite group needs one.  The horizon must be
+    nonnegative and the oracle built for ``matrix``.
+    """
+    info = _check_kind(matrix, kind, kinds)
     if horizon is None:
         if not info.finite:
             raise ValueError("a horizon is required for an infinite group")
         horizon = info.longest_length
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    return weights, horizon, _checked_oracle(matrix, oracle)
+    return horizon, _checked_oracle(matrix, oracle)
 
 
 def _class_totals(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOracle,
@@ -151,9 +162,9 @@ def _class_totals(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOr
 def euler_series(matrix: CoxeterMatrix, kind: str, horizon: int = None,
                  oracle: WordOracle = None) -> list:
     """Coefficients of sum (-1)^dim t^length over the census, up to the horizon."""
-    classified = classify_all(matrix)
-    weights, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
-    slices, _ = _class_totals(matrix, kind, horizon, oracle, weights)
+    horizon, oracle = _resolve(matrix, kind, horizon, oracle)
+    slices, _ = _class_totals(matrix, kind, horizon, oracle,
+                              _weights(matrix, kind, classify_all(matrix)))
     coeffs = [0] * (horizon + 1)
     for census in slices.values():
         for length, c in enumerate(census):
@@ -177,31 +188,6 @@ class TypeCensus:
         return self.census == self.closed_series
 
 
-def _type_census(table: GrowthTable, kind: str, horizon: int, t: Mask,
-                 census: list, records: int, chis: dict, quotients: dict) -> TypeCensus:
-    """Attach type t's closed form (see :func:`census_by_type`), read from the
-    system's table apart from :func:`_weights`, to its slice; ``chis`` holds
-    the nerve coefficients (kind "davis" only).
-
-    Every kind's closed form is coeff * t^shift * W / W_T: the shift is 0, or
-    m_T for tits, since W_T is a palindromic polynomial of degree m_T, so
-    W_T(1/t) = t^{-m_T} * W_T(t).  ``quotients`` keeps the reduced W / W_T
-    per W_T met in the call; its denominator is nonzero at t = 0 (W / W_T is
-    a power series), so scaling by coeff * t^shift needs no second gcd.
-    """
-    wt = table.series(t)
-    if wt not in quotients:
-        w = table.series()
-        quotients[wt] = RatFunc(w.num * wt.den, w.den * wt.num)
-    base = quotients[wt]
-    size = t.bit_count()
-    coeff = chis[t] * _sign(size) if kind == "davis" else _sign(table.matrix.rank - size - 1)
-    shift = wt.num.degree if kind == "tits" else 0
-    closed = RatFunc.from_coprime((coeff * base.num).shifted(shift), base.den)
-    return TypeCensus(kind, t, tuple(census), closed,
-                      tuple(series_expand(closed, horizon)), records)
-
-
 def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
                    oracle: WordOracle = None) -> list:
     """Every valid type's census slice, with its exact closed form attached,
@@ -212,15 +198,33 @@ def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
         coxeter:  (-1)^{|S|-|T|-1} * W(t) / W_T(t)
         davis:    (-1)^{|T|} chi_T * W(t) / W_T(t)
         tits:     (-1)^{|S|-|T|-1} * W(t) / W_T(1/t)
+
+    They are read from the table, not from :func:`_weights`.  Each is
+    coeff * t^shift * W / W_T: the shift is 0, or m_T for tits, since W_T is
+    a palindromic polynomial of degree m_T, so W_T(1/t) = t^{-m_T} * W_T(t).
     """
+    horizon, oracle = _resolve(matrix, kind, horizon, oracle)
     table = GrowthTable(matrix)
-    classified = (table.infos, table.spherical)
-    weights, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
+    weights = _weights(matrix, kind, (table.infos, table.spherical))
     slices, counts = _class_totals(matrix, kind, horizon, oracle, weights)
     chis = _nerve_coefficients(matrix.rank, table.spherical) if kind == "davis" else None
+    w = table.series()
+    # the reduced W / W_T per W_T met; its denominator is nonzero at t = 0
+    # (W / W_T is a power series), so scaling it needs no second gcd
     quotients = {}
-    return [_type_census(table, kind, horizon, t, slices[t], counts[t], chis, quotients)
-            for t in weights]
+    result = []
+    for t in weights:
+        wt = table.series(t)
+        if wt not in quotients:
+            quotients[wt] = RatFunc(w.num * wt.den, w.den * wt.num)
+        base = quotients[wt]
+        size = t.bit_count()
+        coeff = chis[t] * _sign(size) if kind == "davis" else _sign(matrix.rank - size - 1)
+        shift = wt.num.degree if kind == "tits" else 0
+        closed = RatFunc.from_coprime((coeff * base.num).shifted(shift), base.den)
+        result.append(TypeCensus(kind, t, tuple(slices[t]), closed,
+                                 tuple(series_expand(closed, horizon)), counts[t]))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -247,29 +251,24 @@ def check_face_length_drop(matrix: CoxeterMatrix, kind: str, horizon: int = None
         length(face) < length(w)   <=>   type(face) meets the descent set of w
 
     where length(face) is the length of the shortest chamber containing the
-    face, computed independently as the minimum over the face's coset piece
-    inside the ball (reachable by right multiplications, never through
-    descent-set reasoning).  Each type counts its ``count`` faces per chamber
-    (see :func:`_weights`).
+    face, computed independently from the face's coset piece inside the ball
+    (reachable by right multiplications, never through descent-set
+    reasoning): the length of the piece's first id, one of its shortest
+    elements (see :func:`coset_components`).  Each type counts its ``count``
+    faces per chamber (see :func:`_weights`).
     """
-    if kind not in ("coxeter", "davis"):
-        raise ValueError("the face-length criterion applies to kinds 'coxeter' and 'davis'")
-    classified = classify_all(matrix)
-    weights, horizon, oracle = _resolve(matrix, kind, horizon, oracle, classified)
+    horizon, oracle = _resolve(matrix, kind, horizon, oracle, LEMMA_KINDS)
     # the ball's ids are 0, 1, ... in ShortLex order, so by length
     lengths = [k for k, size in enumerate(oracle.sphere_sizes(horizon)) for _ in range(size)]
 
     report = FaceLengthReport(kind=kind, horizon=horizon,
                               chambers_checked=len(lengths), simplices_checked=0)
-    for t, (_, _, count) in weights.items():
-        comp = coset_components(oracle, horizon, t)
-        comp_min = {}
-        for cid, length in zip(comp, lengths):
-            cur = comp_min.get(cid)
-            if cur is None or length < cur:
-                comp_min[cid] = length
-        for i, (cid, length) in enumerate(zip(comp, lengths)):
-            face_length = comp_min[cid]
+    for t, (_, _, count) in _weights(matrix, kind, classify_all(matrix)).items():
+        face_lengths = []           # per piece, met first at its first id
+        for i, (cid, length) in enumerate(zip(coset_components(oracle, horizon, t), lengths)):
+            if cid == len(face_lengths):
+                face_lengths.append(length)
+            face_length = face_lengths[cid]
             drops = face_length < length
             meets = oracle.descents(i) & t != 0
             report.simplices_checked += count
@@ -291,17 +290,13 @@ def panel_union_euler(matrix: CoxeterMatrix, kind: str, subset: Mask) -> int:
     ``subset`` must be spherical (equivalently, ``subset`` itself is), which
     holds for every descent set.
     """
-    if kind not in ("coxeter", "davis"):
-        raise ValueError("panel unions live in the chamber models 'coxeter' and 'davis'")
-    full = matrix.full_mask
-    if subset & ~full:
+    _check_kind(matrix, kind, LEMMA_KINDS)
+    if subset & ~matrix.full_mask:
         raise ValueError("subset is not within the generator set")
     classified = None               # the coxeter weights read no classification
     if kind == "davis":
-        classified = classify_all(matrix)
-        if classified[0][full].finite:
-            raise ValueError("the davis chamber model is only defined for infinite groups")
-        if not classified[0][subset].finite:
+        if not classify(matrix, subset).finite:
             raise ValueError("davis panel unions need every subset of the set to be spherical")
+        classified = classify_all(matrix)
     return sum(signed for t, (_, signed, _) in _weights(matrix, kind, classified).items()
                if t & subset)

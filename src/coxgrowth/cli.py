@@ -139,10 +139,7 @@ def _cmd_chi(args):
 
 
 def _cmd_census(args):
-    matrix = _load(args.file)
-    if args.max_length is None and not classify(matrix, matrix.full_mask).finite:
-        raise ValueError("--max-length is required for an infinite group")
-    slices = census_by_type(matrix, args.complex, args.max_length)
+    slices = census_by_type(_load(args.file), args.complex, args.max_length)
     coeffs = [sum(column) for column in zip(*(tc.census for tc in slices))]
     record_count = sum(tc.records for tc in slices)
     label = "chi^t" if args.complex == "tits" else "chi_t"

@@ -88,10 +88,6 @@ class CoxeterMatrix:
     def full_mask(self) -> Mask:
         return (1 << self.rank) - 1
 
-    def order(self, i: int, j: int):
-        """Pairwise order m(i, j); an int or INFINITY."""
-        return self.orders[i][j]
-
 
 def coxeter_matrix(rank: int, pairs=None) -> CoxeterMatrix:
     """Build a matrix from ``{(i, j): order}`` with 0-based indices.

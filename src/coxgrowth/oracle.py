@@ -267,9 +267,11 @@ def coset_components(oracle: WordOracle, horizon: int, subset: Mask) -> list:
     cosets w * W_subset.
 
     Returns the component number of every id of the ball (its ids are 0, 1,
-    ...).  Edges are right multiplications by subset generators that stay
-    inside the ball.  A piece containing every element of its coset is the
-    whole coset (cosets are connected under these moves); pieces cut by the
+    ... in ShortLex order).  Pieces are numbered 0, 1, ... in the order of
+    their first ids, so a piece's first id is one of its shortest elements.
+    Edges are right multiplications by subset generators that stay inside
+    the ball.  A piece containing every element of its coset is the whole
+    coset (cosets are connected under these moves); pieces cut by the
     horizon are proper subsets.
     """
     if subset & ~oracle.matrix.full_mask:
@@ -326,7 +328,7 @@ def coset_decomposition_check(matrix: CoxeterMatrix, subset: Mask, horizon: int,
         if len(ids) != info.order:
             report.skipped_cosets += 1
             continue
-        shortest = min(lengths[i] for i in ids)
+        shortest = lengths[ids[0]]      # the piece's first id, one of its shortest
         mins = [i for i in ids if lengths[i] == shortest]
         if len(mins) != 1:
             report.violations.append(

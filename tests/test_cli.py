@@ -104,7 +104,7 @@ def test_census_infinite_without_horizon_fails(capsys):
     code, out, err = run(capsys, "census", f"{SYS}/inf-dihedral.cox",
                          "--complex", "coxeter")
     assert code == 1
-    assert "error:" in err
+    assert "error: a horizon is required for an infinite group" in err
 
 
 def test_census_davis_on_finite_fails(capsys):

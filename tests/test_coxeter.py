@@ -13,26 +13,26 @@ from coxgrowth.coxeter import (INFINITY, CoxeterMatrix, CoxParseError,
 def test_parse_minimal():
     m = parse_coxeter_file("rank 2\nm 1 2 3\n")
     assert m.rank == 2
-    assert m.order(0, 1) == 3
-    assert m.order(1, 0) == 3
-    assert m.order(0, 0) == 1
+    assert m.orders[0][1] == 3
+    assert m.orders[1][0] == 3
+    assert m.orders[0][0] == 1
 
 
 def test_parse_defaults_to_commuting():
     m = parse_coxeter_file("rank 3\nm 1 2 5\n")
-    assert m.order(0, 2) == 2
-    assert m.order(1, 2) == 2
+    assert m.orders[0][2] == 2
+    assert m.orders[1][2] == 2
 
 
 def test_parse_infinity_and_comments():
     text = "# header\nrank 2  # trailing\n\nm 1 2 inf\n"
     m = parse_coxeter_file(text)
-    assert m.order(0, 1) is INFINITY
+    assert m.orders[0][1] is INFINITY
 
 
 def test_parse_duplicate_pair_consistent_ok():
     m = parse_coxeter_file("rank 2\nm 1 2 4\nm 1 2 4\n")
-    assert m.order(0, 1) == 4
+    assert m.orders[0][1] == 4
 
 
 @pytest.mark.parametrize("text,fragment", [

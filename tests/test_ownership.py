@@ -3,7 +3,9 @@
 A system's classification, growth table, nerve coefficients and chains
 belong to one call.  Each public entry point classifies its system once,
 builds at most one growth table and passes both down; the package keeps no
-cache, so nothing it built stays alive after it returns.
+cache, so nothing it built stays alive after it returns.  A census entry
+point checks its request before it builds any of them, so a refused request
+builds no table, runs no ``classify_all`` and counts no chain.
 """
 
 import gc
@@ -14,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from coxgrowth import (GrowthTable, census_by_type, coxeter_matrix, get, growth_series,
-                       panel_union_euler, serialize_coxeter, verify_identities)
-from coxgrowth.census import KINDS
+from coxgrowth import (GrowthTable, census, census_by_type, coxeter_matrix, euler_series, get,
+                       growth_series, panel_union_euler, serialize_coxeter, verify_identities)
+from coxgrowth.census import KINDS, check_face_length_drop, valid_type_masks
 from coxgrowth.classify import classify_all
 from coxgrowth.cli import main
 
@@ -90,6 +92,56 @@ def test_census_by_type_builds_one_table_from_one_classification(kind, tables_bu
     assert all(tc.matches for tc in slices)
     assert len(tables_built) == 1
     assert len(classify_all_calls) == 1
+
+
+@pytest.fixture
+def no_chain_sums(monkeypatch):
+    """Fail the test at any call of census.chain_sums."""
+    def refuse(spherical):
+        raise AssertionError("chain_sums ran")
+
+    monkeypatch.setattr(census, "chain_sums", refuse)
+
+
+ENTRY_POINTS = {   # name -> (call(matrix, kind, horizon), whether it takes a horizon)
+    "census_by_type": (census_by_type, True),
+    "euler_series": (euler_series, True),
+    "check_face_length_drop": (check_face_length_drop, True),
+    "valid_type_masks": (lambda m, kind, horizon: valid_type_masks(m, kind), False),
+    "panel_union_euler": (lambda m, kind, horizon: panel_union_euler(m, kind, 0b1), False),
+}
+REFUSED = [        # (request, matrix, kind, horizon, error)
+    ("davis-on-A6", _path(6), "davis", 3, "only defined for infinite groups"),
+    ("unknown-kind", get("tilde-a2").matrix, "cubical", 3, "kind must be one of"),
+    ("negative-horizon", get("tilde-a2").matrix, "davis", -1, "horizon must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("entry,case", [
+    pytest.param(entry, case, id=f"{entry}-{case[0]}")
+    for entry, (_, takes_horizon) in ENTRY_POINTS.items()
+    for case in REFUSED if takes_horizon or case[3] >= 0])
+def test_a_refused_request_does_no_census_work(entry, case, tables_built,
+                                               classify_all_calls, no_chain_sums):
+    call = ENTRY_POINTS[entry][0]
+    _, matrix, kind, horizon, error = case
+    with pytest.raises(ValueError, match=error):
+        call(matrix, kind, horizon)
+    assert tables_built == []
+    assert classify_all_calls == []
+
+
+def test_an_unknown_kind_is_reported_before_a_horizon_error(tables_built, classify_all_calls,
+                                                            no_chain_sums):
+    m = get("tilde-a2").matrix
+    for call, _ in ENTRY_POINTS.values():
+        with pytest.raises(ValueError, match="kind must be one of"):
+            call(m, "cubical", -1)
+    for call in (check_face_length_drop, ENTRY_POINTS["panel_union_euler"][0]):
+        with pytest.raises(ValueError, match="kind must be one of.*coxeter.*davis"):
+            call(m, "tits", -1)
+    assert tables_built == []
+    assert classify_all_calls == []
 
 
 def test_coxeter_panel_union_classifies_nothing(classify_all_calls):
