@@ -17,21 +17,18 @@ the coset's unique shortest element.
 The length value of a record is length(shortest representative) for coxeter
 and davis, and length(shortest) + longest_length(T) for tits (the longest
 element of the coset).  ``euler_series`` collects sum (-1)^dim t^length over
-all records; the per-type slices have exact closed forms in terms of the
-growth table.
+all records, and ``census_by_type`` sets each type's slice of it next to its
+exact closed form from the growth table.
 
 A coset w * W_T is recorded at its shortest element u, and u is shortest
 exactly when its right descent set misses T (Bjorner-Brenti, *Combinatorics
-of Coxeter Groups*, 2.4).  So the records of type T at u depend on u only
-through its length and descent mask, and :func:`_weights` gives what they
-are worth at any such chamber: a length shift, the signed sum of (-1)^dim
-over them and their number.  The census is a weighted class walk:
-``census_by_type`` (every type's slice and record count in one pass, with
-its closed form attached for comparison) and ``euler_series`` (the total)
-take each (length, descent-mask) class of the ball once, weighted by its
-size and by that table, which the face-length check and the panel unions
-also read.  The element-level reference, which walks the records one by
-one from per-element descent sets and listed chains, lives in the tests.
+of Coxeter Groups*, 2.4).  So the census is coset counts, then weights:
+:func:`_coset_counts`, which knows no kind, counts the chambers of each
+length whose descents miss T (the series of W / W_T) from the (length,
+descent-mask) classes of the ball, and :func:`_weighted` weights them by
+:func:`_weights`, the one table of what the records of type T at such a
+chamber are worth, which the face-length check and the panel unions also
+read.  The element-level reference walks the records one by one in the tests.
 
 Each public call first checks its request (:func:`_resolve`, or
 :func:`_check_kind` where it takes no horizon), which classifies the whole
@@ -74,12 +71,6 @@ def chain_sums(spherical: tuple) -> dict:
         signed[t] = 1 - sum(signed[u] for u in above)
         counts[t] = 1 + sum(counts[u] for u in above)
     return {t: (signed[t], counts[t]) for t in spherical}
-
-
-def valid_type_masks(matrix: CoxeterMatrix, kind: str) -> list:
-    """The subset types a record of this kind can carry."""
-    _check_kind(matrix, kind)
-    return list(_weights(matrix, kind, classify_all(matrix)))
 
 
 def _weights(matrix: CoxeterMatrix, kind: str, classified) -> dict:
@@ -136,40 +127,44 @@ def _resolve(matrix: CoxeterMatrix, kind: str, horizon, oracle, kinds: tuple = K
     return horizon, _checked_oracle(matrix, oracle)
 
 
-def _class_totals(matrix: CoxeterMatrix, kind: str, horizon: int, oracle: WordOracle,
-                  weights: dict):
-    """Every type's census slice and record count, in valid-type order, from
-    the (length, descent mask) classes of the ball rather than its elements.
+def _coset_counts(matrix: CoxeterMatrix, horizon: int, oracle: WordOracle, types) -> dict:
+    """T -> [number of chambers of length k whose descents miss T, k <= horizon]
+    for the masks T in ``types``, in their order: the series of W / W_T.
 
-    A class of n chambers of length k records every type T inside the
-    complement of its descents, so it adds n * signed to T's slice at k +
-    shift and n * count to T's record count (see :func:`_weights`).
+    Each (length, descent mask) class of n chambers adds n to every type
+    inside the complement of its descents, walking that complement's
+    submasks or the types, whichever list is shorter.
     """
-    slices = {t: [0] * (horizon + 1) for t in weights}
-    counts = dict.fromkeys(weights, 0)
+    counts = {t: [0] * (horizon + 1) for t in types}
     for k in range(horizon + 1):
         for d, n in oracle.descent_counts(k).items():
             free = matrix.full_mask & ~d
-            for t in submasks(free) if kind == "coxeter" else weights:
-                if t & free == t and t in weights:
-                    shift, signed, count = weights[t]
-                    if k + shift <= horizon:
-                        slices[t][k + shift] += signed * n
-                        counts[t] += count * n
-    return slices, counts
+            if 1 << free.bit_count() < len(counts):
+                for t in submasks(free):
+                    if t in counts:
+                        counts[t][k] += n
+            else:
+                for t, row in counts.items():
+                    if not t & d:
+                        row[k] += n
+    return counts
+
+
+def _weighted(series, shift: int, weight: int, horizon: int) -> list:
+    """weight * t^shift * series, for a series given up to t^horizon."""
+    return ([0] * shift + [weight * c for c in series])[:horizon + 1]
 
 
 def euler_series(matrix: CoxeterMatrix, kind: str, horizon: int = None,
                  oracle: WordOracle = None) -> list:
-    """Coefficients of sum (-1)^dim t^length over the census, up to the horizon."""
+    """Coefficients of sum (-1)^dim t^length over the census, up to the horizon:
+    the column sums of the types' slices."""
     horizon, oracle = _resolve(matrix, kind, horizon, oracle)
-    slices, _ = _class_totals(matrix, kind, horizon, oracle,
-                              _weights(matrix, kind, classify_all(matrix)))
-    coeffs = [0] * (horizon + 1)
-    for census in slices.values():
-        for length, c in enumerate(census):
-            coeffs[length] += c
-    return coeffs
+    weights = _weights(matrix, kind, classify_all(matrix))
+    counts = _coset_counts(matrix, horizon, oracle, weights)
+    slices = [_weighted(counts[t], shift, signed, horizon)
+              for t, (shift, signed, _) in weights.items()]
+    return [sum(column) for column in zip([0] * (horizon + 1), *slices)]
 
 
 @dataclass(frozen=True)
@@ -190,40 +185,45 @@ class TypeCensus:
 
 def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
                    oracle: WordOracle = None) -> list:
-    """Every valid type's census slice, with its exact closed form attached,
-    from one pass over the census; in :func:`valid_type_masks` order.
-
-    Closed forms (W the full series, W_T the subset series, S the generators):
+    """Every valid type's census slice next to its exact closed form, in
+    valid-type order.  Closed forms (W the full series, W_T the subset
+    series, S the generators):
 
         coxeter:  (-1)^{|S|-|T|-1} * W(t) / W_T(t)
         davis:    (-1)^{|T|} chi_T * W(t) / W_T(t)
         tits:     (-1)^{|S|-|T|-1} * W(t) / W_T(1/t)
 
-    They are read from the table, not from :func:`_weights`.  Each is
-    coeff * t^shift * W / W_T: the shift is 0, or m_T for tits, since W_T is
-    a palindromic polynomial of degree m_T, so W_T(1/t) = t^{-m_T} * W_T(t).
+    Each is coeff * t^shift * W / W_T, read from the table, not from
+    :func:`_weights`: the shift is 0, or m_T for tits, since W_T is a
+    palindromic polynomial of degree m_T.  So both sides of the check are
+    :func:`_weighted` series: of the type's coset counts, and of W / W_T,
+    expanded once per distinct W_T.
     """
     horizon, oracle = _resolve(matrix, kind, horizon, oracle)
     table = GrowthTable(matrix)
     weights = _weights(matrix, kind, (table.infos, table.spherical))
-    slices, counts = _class_totals(matrix, kind, horizon, oracle, weights)
+    counts = _coset_counts(matrix, horizon, oracle, weights)
+    slices = {t: tuple(_weighted(counts[t], shift, signed, horizon))
+              for t, (shift, signed, _) in weights.items()}
     chis = _nerve_coefficients(matrix.rank, table.spherical) if kind == "davis" else None
     w = table.series()
-    # the reduced W / W_T per W_T met; its denominator is nonzero at t = 0
-    # (W / W_T is a power series), so scaling it needs no second gcd
+    # W_T -> the reduced W / W_T and its expansion; its denominator is nonzero
+    # at t = 0 (W / W_T is a power series), so scaling it needs no second gcd
     quotients = {}
     result = []
-    for t in weights:
+    for t, (shift, _, count) in weights.items():
         wt = table.series(t)
         if wt not in quotients:
-            quotients[wt] = RatFunc(w.num * wt.den, w.den * wt.num)
-        base = quotients[wt]
+            base = RatFunc(w.num * wt.den, w.den * wt.num)
+            quotients[wt] = base, series_expand(base, horizon)
+        base, expansion = quotients[wt]
         size = t.bit_count()
         coeff = chis[t] * _sign(size) if kind == "davis" else _sign(matrix.rank - size - 1)
-        shift = wt.num.degree if kind == "tits" else 0
-        closed = RatFunc.from_coprime((coeff * base.num).shifted(shift), base.den)
-        result.append(TypeCensus(kind, t, tuple(slices[t]), closed,
-                                 tuple(series_expand(closed, horizon)), counts[t]))
+        closed_shift = wt.num.degree if kind == "tits" else 0
+        closed = RatFunc.from_coprime((coeff * base.num).shifted(closed_shift), base.den)
+        result.append(TypeCensus(kind, t, slices[t], closed,
+                                 tuple(_weighted(expansion, closed_shift, coeff, horizon)),
+                                 sum(_weighted(counts[t], shift, count, horizon))))
     return result
 
 

@@ -19,7 +19,7 @@ from .catalog import ENTRIES
 from .census import KINDS, census_by_type, chain_sums
 from .classify import classify
 from .coxeter import format_subset, parse_coxeter_file
-from .growth import GrowthTable, InvariantViolation, nerve_coefficients, verify_identity
+from .growth import GrowthTable, InvariantViolation, _sign, nerve_coefficients, verify_identity
 from .oracle import WordOracle, cross_check_oracles
 from .ratfunc import format_poly, format_ratfunc, series_expand
 
@@ -125,7 +125,7 @@ def _cmd_chi(args):
     # with (-1)^{|T|} chi_T, a sum over the nerve's simplices instead
     for subset, (one_minus, _) in chain_sums(tuple(chis)).items():
         chi = chis[subset]
-        sign = -1 if subset.bit_count() & 1 else 1
+        sign = _sign(subset.bit_count())
         agree = one_minus == sign * chi
         rows.append({"subset": format_subset(subset), "mask": subset,
                      "chi": chi, "one_minus_link_euler": one_minus})

@@ -130,14 +130,13 @@ def mask_of(indices: Iterable[int]) -> Mask:
     return m
 
 
-def submasks(mask: Mask, proper: bool = False) -> Iterator[Mask]:
-    """All submasks of ``mask`` (including 0), optionally excluding itself."""
+def submasks(mask: Mask) -> Iterator[Mask]:
+    """All submasks of ``mask``, from ``mask`` itself down to 0."""
     if mask < 0:
         raise ValueError(f"mask must be nonnegative, got {mask}")
     sub = mask
     while True:
-        if not (proper and sub == mask):
-            yield sub
+        yield sub
         if sub == 0:
             return
         sub = (sub - 1) & mask

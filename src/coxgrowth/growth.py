@@ -85,8 +85,8 @@ from operator import add
 
 from .classify import classify_all, spherical_subsets
 from .coxeter import CoxeterMatrix, Mask
-from .ratfunc import (P_ONE, Poly, RatFunc, RF_ZERO, cancel_factors, format_ratfunc,
-                      substitute_inverse)
+from .ratfunc import (P_ONE, Poly, RatFunc, RF_ZERO, cancel_factors, cyclotomic,
+                      format_ratfunc, substitute_inverse)
 
 # Bytes per packed coefficient of a new table; a table whose bounds outgrow
 # them is rebuilt at twice the width.
@@ -105,17 +105,6 @@ def _sign(k: int) -> int:
     return -1 if k & 1 else 1
 
 
-def _cyclotomic(k: int, known: dict) -> Poly:
-    """Phi_k, from t^k - 1 over the Phi_d of its proper divisors (memoised in ``known``)."""
-    if k not in known:
-        phi = Poly.t_power(k) - 1
-        for d in range(1, k // 2 + 1):
-            if k % d == 0:
-                phi = phi.exact_div(_cyclotomic(d, known))
-        known[k] = phi
-    return known[k]
-
-
 def _cyclotomic_factors(degree_tuples) -> list:
     """The factors (Phi_k, e_k) of L, k ascending, with
     e_k = max over the tuples of #{degrees divisible by k}."""
@@ -129,7 +118,7 @@ def _cyclotomic_factors(degree_tuples) -> list:
         for k, c in counts.items():
             exponents[k] = max(exponents.get(k, 0), c)
     known = {}
-    return [(_cyclotomic(k, known), exponents[k]) for k in sorted(exponents)]
+    return [(cyclotomic(k, known), exponents[k]) for k in sorted(exponents)]
 
 
 def _common_denominator(factors) -> Poly:

@@ -383,6 +383,17 @@ def substitute_inverse(r: RatFunc) -> RatFunc:
     return RatFunc.from_coprime(num, den)
 
 
+def cyclotomic(k: int, known: dict) -> Poly:
+    """Phi_k, from t^k - 1 over the Phi_d of its proper divisors (memoised in ``known``)."""
+    if k not in known:
+        phi = Poly.t_power(k) - 1
+        for d in range(1, k // 2 + 1):
+            if k % d == 0:
+                phi = phi.exact_div(cyclotomic(d, known))
+        known[k] = phi
+    return known[k]
+
+
 def cancel_factors(p: Poly, factors) -> tuple:
     """``(p / g, F / g)`` for F = prod f^e over the pairs (f, e) of ``factors``
     and g = gcd(p, F), by trial division: no gcd is taken.

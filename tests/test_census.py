@@ -6,11 +6,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxgrowth import (ENTRIES, GrowthTable, RatFunc, WordOracle, census_by_type,
+from coxgrowth import (ENTRIES, GrowthTable, RatFunc, WordOracle, census, census_by_type,
                        classify, euler_series, get, nerve_coefficients,
-                       panel_union_euler, spherical_subsets)
-from coxgrowth.census import (KINDS, chain_sums, check_face_length_drop,
-                              valid_type_masks)
+                       panel_union_euler, series_expand, spherical_subsets)
+from coxgrowth.census import KINDS, _coset_counts, chain_sums, check_face_length_drop
 from test_growth import systems_up_to_rank_5, systems_up_to_rank_6
 
 
@@ -122,17 +121,20 @@ def test_chain_sums_match_listed_chains_on_random_systems(matrix):
 
 
 def test_valid_type_masks():
+    def types(m, kind):
+        return [tc.type_mask for tc in census_by_type(m, kind, 0)]
+
     m = get("inf-dihedral").matrix
-    assert valid_type_masks(m, "coxeter") == [0, 1, 2]
-    assert valid_type_masks(m, "davis") == [0, 1, 2]
-    assert valid_type_masks(m, "tits") == [0, 1, 2]
+    assert types(m, "coxeter") == [0, 1, 2]
+    assert types(m, "davis") == [0, 1, 2]
+    assert types(m, "tits") == [0, 1, 2]
     mt = get("tilde-a2").matrix
-    assert valid_type_masks(mt, "coxeter") == list(range(7))
-    assert valid_type_masks(mt, "tits") == list(range(7))
+    assert types(mt, "coxeter") == list(range(7))
+    assert types(mt, "tits") == list(range(7))
     ma = get("a2").matrix
-    assert valid_type_masks(ma, "coxeter") == [0, 1, 2]
+    assert types(ma, "coxeter") == [0, 1, 2]
     # the full set of a finite group is spherical but still not a tits type
-    assert valid_type_masks(ma, "tits") == [0, 1, 2]
+    assert types(ma, "tits") == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,7 @@ def test_census_by_type_counts_records_per_type(oracle_for):
 
 def test_unknown_kind_is_rejected():
     m = get("a2").matrix
-    for call in (lambda: valid_type_masks(m, "cubical"),
+    for call in (lambda: [tc.type_mask for tc in census_by_type(m, "cubical", 0)],
                  lambda: euler_series(m, "cubical"),
                  lambda: census_by_type(m, "cubical")):
         with pytest.raises(ValueError, match="kind must be one of"):
@@ -277,6 +279,69 @@ def test_closed_forms_as_before_on_catalog(entry, oracle_for):
 @given(systems_up_to_rank_5())
 def test_closed_forms_as_before_on_random_systems(matrix):
     _assert_closed_forms_as_before(matrix, WordOracle(matrix))
+
+
+def _reference_coset_counts(matrix, horizon, oracle, types):
+    return {t: [sum(1 for i in oracle.sphere_ids(k) if not oracle.descents(i) & t)
+                for k in range(horizon + 1)] for t in types}
+
+
+def _assert_coset_counts_match_elements(matrix, horizon, oracle):
+    for types in (range(matrix.full_mask + 1), spherical_subsets(matrix)):
+        counts = _coset_counts(matrix, horizon, oracle, types)
+        assert list(counts) == list(types)
+        assert counts == _reference_coset_counts(matrix, horizon, oracle, types)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
+def test_coset_counts_match_elements_on_catalog(entry, oracle_for):
+    _assert_coset_counts_match_elements(entry.matrix, 5, oracle_for(entry.name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems_up_to_rank_5())
+def test_coset_counts_match_elements_on_random_systems(matrix):
+    _assert_coset_counts_match_elements(matrix, 5, WordOracle(matrix))
+
+
+def test_coset_counts_walk_submasks_or_types_by_cost(monkeypatch, oracle_for):
+    # tilde-a2 davis has 7 types: the identity's free set has 8 submasks, so
+    # its class scans the types; a length-1 class's free set has 4, walked
+    m, o = get("tilde-a2").matrix, oracle_for("tilde-a2")
+    types, submasks, walked = spherical_subsets(m), census.submasks, []
+
+    def recording(mask):
+        walked.append(mask)
+        return submasks(mask)
+
+    monkeypatch.setattr(census, "submasks", recording)
+    counts = _coset_counts(m, 1, o, types)
+    assert len(types) == 7
+    assert sorted(walked) == [0b011, 0b101, 0b110]
+    assert counts == _reference_coset_counts(m, 1, o, types)
+
+
+def test_series_expand_runs_once_per_subgroup_series(monkeypatch):
+    # a3's seven proper subsets have four distinct W_T: 1, [2], [2]^2, [2][3]
+    calls = []
+
+    def counting(r, n):
+        calls.append(r)
+        return series_expand(r, n)
+
+    monkeypatch.setattr(census, "series_expand", counting)
+    slices = census_by_type(get("a3").matrix, "coxeter")
+    assert len(slices) == 7 and all(tc.matches for tc in slices)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
+def test_closed_series_expands_the_closed_form_on_catalog(entry, oracle_for):
+    m = entry.matrix
+    horizon = None if classify(m, m.full_mask).finite else 5
+    for kind in _kinds(m):
+        for tc in census_by_type(m, kind, horizon, oracle_for(entry.name)):
+            assert series_expand(tc.closed_form, len(tc.census) - 1) == list(tc.closed_series)
 
 
 def test_census_counters_read_no_element(monkeypatch):

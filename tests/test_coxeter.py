@@ -128,7 +128,6 @@ def test_bits_and_masks():
 def test_submasks_enumeration():
     subs = sorted(submasks(0b101))
     assert subs == [0b000, 0b001, 0b100, 0b101]
-    assert sorted(submasks(0b101, proper=True)) == [0b000, 0b001, 0b100]
     assert list(submasks(0)) == [0]
 
 
@@ -139,8 +138,6 @@ def test_negative_masks_are_rejected(mask):
         bits_of(mask)
     with pytest.raises(ValueError, match="mask must be nonnegative"):
         next(submasks(mask))
-    with pytest.raises(ValueError, match="mask must be nonnegative"):
-        next(submasks(mask, proper=True))
     with pytest.raises(ValueError, match="mask must be nonnegative"):
         format_subset(mask)
 

@@ -1,6 +1,7 @@
 """Word enumeration: normal forms against braid classes, spheres, cosets; and
 the exact Tits-cone oracle with its arithmetic."""
 
+import ast
 import itertools
 import tracemalloc
 from collections import Counter
@@ -533,6 +534,19 @@ def _poly_product(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def test_tits_cone_oracle_does_not_import_the_growth_module():
+    # the cross-check must stay independent of the growth computation it checks
+    tree = ast.parse(Path(oracle_module.__file__).read_text(encoding="utf-8"))
+    imported = []       # dotted module and module.name paths of every import
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert "ratfunc.cyclotomic" in imported
+    assert not [name for name in imported if "growth" in name.split(".")]
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)

@@ -18,7 +18,7 @@ import pytest
 
 from coxgrowth import (GrowthTable, census, census_by_type, coxeter_matrix, euler_series, get,
                        growth_series, panel_union_euler, serialize_coxeter, verify_identities)
-from coxgrowth.census import KINDS, check_face_length_drop, valid_type_masks
+from coxgrowth.census import KINDS, check_face_length_drop
 from coxgrowth.classify import classify_all
 from coxgrowth.cli import main
 
@@ -107,7 +107,6 @@ ENTRY_POINTS = {   # name -> (call(matrix, kind, horizon), whether it takes a ho
     "census_by_type": (census_by_type, True),
     "euler_series": (euler_series, True),
     "check_face_length_drop": (check_face_length_drop, True),
-    "valid_type_masks": (lambda m, kind, horizon: valid_type_masks(m, kind), False),
     "panel_union_euler": (lambda m, kind, horizon: panel_union_euler(m, kind, 0b1), False),
 }
 REFUSED = [        # (request, matrix, kind, horizon, error)

@@ -4,9 +4,8 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from coxgrowth.growth import _cyclotomic
-from coxgrowth.ratfunc import (Poly, RatFunc, cancel_factors, format_poly, format_ratfunc,
-                               poly_gcd, series_expand, substitute_inverse)
+from coxgrowth.ratfunc import (Poly, RatFunc, cancel_factors, cyclotomic, format_poly,
+                               format_ratfunc, poly_gcd, series_expand, substitute_inverse)
 
 
 def P(*coeffs):
@@ -201,14 +200,14 @@ _PHI = {}   # cyclotomic polynomials, shared by the examples below
 def test_cancel_factors_matches_gcd_reduction(base, exponents, shared):
     # a random polynomial times a random sub-product of L = prod Phi_k^e_k
     # (and possibly further cyclotomic factors), reduced both ways up
-    factors = [(_cyclotomic(k, _PHI), e) for k, e in sorted(exponents.items())]
+    factors = [(cyclotomic(k, _PHI), e) for k, e in sorted(exponents.items())]
     L = Poly((1,))
     for phi, e in factors:
         for _ in range(e):
             L = L * phi
     num = Poly(base)
     for k in shared:
-        num = num * _cyclotomic(k, _PHI)
+        num = num * cyclotomic(k, _PHI)
     reduced, rest = cancel_factors(num, factors)
     assert RatFunc.from_coprime(reduced, rest) == RatFunc(num, L)
     if num:
