@@ -24,11 +24,12 @@ A coset w * W_T is recorded at its shortest element u, and u is shortest
 exactly when its right descent set misses T (Bjorner-Brenti, *Combinatorics
 of Coxeter Groups*, 2.4).  So the census is coset counts, then weights:
 :func:`_coset_counts`, which knows no kind, counts the chambers of each
-length whose descents miss T (the series of W / W_T) from the (length,
-descent-mask) classes of the ball, and :func:`_weighted` weights them by
-:func:`_weights`, the one table of what the records of type T at such a
-chamber are worth, which the face-length check and the panel unions also
-read.  The element-level reference walks the records one by one in the tests.
+length whose descents miss T (the series of W / W_T) by one superset-sum
+transform of the ball's (length, descent-mask) classes, and
+:func:`_weighted` weights them by :func:`_weights`, the one table of what
+the records of type T at such a chamber are worth, which the face-length
+check and the panel unions also read.  The element-level reference walks the
+records one by one in the tests.
 
 Each public call first checks its request (:func:`_resolve`, or
 :func:`_check_kind` where it takes no horizon), which classifies the whole
@@ -43,10 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classify import classify, classify_all
-from .coxeter import CoxeterMatrix, Mask, format_subset, submasks
+from .coxeter import CoxeterMatrix, Mask, format_subset, superset_sums
 from .growth import GrowthTable, _nerve_coefficients, _sign
 from .oracle import WordOracle, _checked_oracle, coset_components
-from .ratfunc import RatFunc, series_expand
+from .ratfunc import Poly, RatFunc, series_expand
 
 KINDS = ("coxeter", "davis", "tits")
 LEMMA_KINDS = ("coxeter", "davis")    # the chamber models; the lemma checks take these
@@ -131,23 +132,20 @@ def _coset_counts(matrix: CoxeterMatrix, horizon: int, oracle: WordOracle, types
     """T -> [number of chambers of length k whose descents miss T, k <= horizon]
     for the masks T in ``types``, in their order: the series of W / W_T.
 
-    Each (length, descent mask) class of n chambers adds n to every type
-    inside the complement of its descents, walking that complement's
-    submasks or the types, whichever list is shorter.
+    A class of n chambers of length k and descents d counts for the T inside
+    F = S - d: one :func:`superset_sums` over the classes placed at their F,
+    each length k in the ``width``-bit digit at bit width * k.  No count
+    exceeds the ball's size, which ``width`` bits hold, so no digit overflows.
     """
-    counts = {t: [0] * (horizon + 1) for t in types}
+    full = matrix.full_mask
+    width = sum(oracle.sphere_sizes(horizon)).bit_length()
+    packed = [0] * (full + 1)
     for k in range(horizon + 1):
         for d, n in oracle.descent_counts(k).items():
-            free = matrix.full_mask & ~d
-            if 1 << free.bit_count() < len(counts):
-                for t in submasks(free):
-                    if t in counts:
-                        counts[t][k] += n
-            else:
-                for t, row in counts.items():
-                    if not t & d:
-                        row[k] += n
-    return counts
+            packed[full & ~d] += n << width * k
+    sums = superset_sums(packed)
+    digit = (1 << width) - 1
+    return {t: [sums[t] >> width * k & digit for k in range(horizon + 1)] for t in types}
 
 
 def _weighted(series, shift: int, weight: int, horizon: int) -> list:
@@ -197,32 +195,33 @@ def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
     :func:`_weights`: the shift is 0, or m_T for tits, since W_T is a
     palindromic polynomial of degree m_T.  So both sides of the check are
     :func:`_weighted` series: of the type's coset counts, and of W / W_T,
-    expanded once per distinct W_T.
+    expanded once per distinct W_T; the types of one (W_T, coeff) share one
+    closed form and one closed series.
     """
     horizon, oracle = _resolve(matrix, kind, horizon, oracle)
     table = GrowthTable(matrix)
     weights = _weights(matrix, kind, (table.infos, table.spherical))
     counts = _coset_counts(matrix, horizon, oracle, weights)
-    slices = {t: tuple(_weighted(counts[t], shift, signed, horizon))
-              for t, (shift, signed, _) in weights.items()}
     chis = _nerve_coefficients(matrix.rank, table.spherical) if kind == "davis" else None
     w = table.series()
-    # W_T -> the reduced W / W_T and its expansion; its denominator is nonzero
-    # at t = 0 (W / W_T is a power series), so scaling it needs no second gcd
-    quotients = {}
-    result = []
-    for t, (shift, _, count) in weights.items():
-        wt = table.series(t)
-        if wt not in quotients:
-            base = RatFunc(w.num * wt.den, w.den * wt.num)
-            quotients[wt] = base, series_expand(base, horizon)
-        base, expansion = quotients[wt]
-        size = t.bit_count()
+    # quotients: W_T -> the reduced W / W_T and its expansion, whose denominator
+    # is nonzero at t = 0 (W / W_T is a power series), so scaling it needs no
+    # second gcd; closed_forms: (W_T, coeff) -> the closed form and its series
+    quotients, closed_forms, result = {}, {}, []
+    for t, (shift, signed, count) in weights.items():
+        wt, size = table.series(t), t.bit_count()
         coeff = chis[t] * _sign(size) if kind == "davis" else _sign(matrix.rank - size - 1)
-        closed_shift = wt.num.degree if kind == "tits" else 0
-        closed = RatFunc.from_coprime((coeff * base.num).shifted(closed_shift), base.den)
-        result.append(TypeCensus(kind, t, slices[t], closed,
-                                 tuple(_weighted(expansion, closed_shift, coeff, horizon)),
+        if (wt, coeff) not in closed_forms:
+            if wt not in quotients:
+                base = RatFunc(w.num * wt.den, w.den * wt.num)
+                quotients[wt] = base, series_expand(base, horizon)
+            base, expansion = quotients[wt]
+            closed_shift = wt.num.degree if kind == "tits" else 0
+            num = Poly([coeff * c for c in base.num.coeffs]).shifted(closed_shift)
+            closed_forms[wt, coeff] = (RatFunc.from_coprime(num, base.den),
+                                       tuple(_weighted(expansion, closed_shift, coeff, horizon)))
+        result.append(TypeCensus(kind, t, tuple(_weighted(counts[t], shift, signed, horizon)),
+                                 *closed_forms[wt, coeff],
                                  sum(_weighted(counts[t], shift, count, horizon))))
     return result
 

@@ -145,21 +145,21 @@ def _cmd_census(args):
     label = "chi^t" if args.complex == "tits" else "chi_t"
     lines = [f"{label} coefficients: {coeffs}",
              f"records: {record_count}"]
-    checks = []
-    by_type = []
+    checks, by_type = [], []
+    forms = {r: format_ratfunc(r) for r in {tc.closed_form for tc in slices}}
     for tc in slices:
-        t = tc.type_mask
-        by_type.append({"type": format_subset(t), "mask": t,
+        t, name, form = tc.type_mask, format_subset(tc.type_mask), forms[tc.closed_form]
+        by_type.append({"type": name, "mask": t,
                         "census": list(tc.census),
-                        "closed_form": format_ratfunc(tc.closed_form),
+                        "closed_form": form,
                         "matches": tc.matches})
-        checks.append(_check(f"type {format_subset(t)} census vs closed form",
+        checks.append(_check(f"type {name} census vs closed form",
                              "pass" if tc.matches else "fail",
                              lhs=str(list(tc.census)),
                              rhs=str(list(tc.closed_series))))
         if args.by_type:
-            lines.append(f"type {format_subset(t):<12} census {list(tc.census)}  "
-                         f"closed form {format_ratfunc(tc.closed_form)}  "
+            lines.append(f"type {name:<12} census {list(tc.census)}  "
+                         f"closed form {form}  "
                          f"{'ok' if tc.matches else 'MISMATCH'}")
     data = {"kind": args.complex, "horizon": len(coeffs) - 1,
             "coefficients": coeffs, "record_count": record_count,

@@ -84,7 +84,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .classify import classify_all, spherical_subsets
-from .coxeter import CoxeterMatrix, Mask
+from .coxeter import CoxeterMatrix, Mask, superset_sums
 from .ratfunc import (P_ONE, Poly, RatFunc, RF_ZERO, cancel_factors, cyclotomic,
                       format_ratfunc, substitute_inverse)
 
@@ -338,24 +338,13 @@ def nerve_coefficients(matrix: CoxeterMatrix) -> dict:
 
 
 def _nerve_coefficients(rank: int, spherical: tuple) -> dict:
-    """:func:`nerve_coefficients` from the spherical subsets of a rank-``rank`` system.
-
-    One superset-sum (zeta) transform over all 2^n masks: after the pass for
-    bit i, entry T holds the sum over the U >= T that differ from T only in
-    bits 0..i.  That is n * 2^(n-1) additions, not one scan of the spherical
-    subsets per subset.
-    """
-    size = 1 << rank
-    acc = [0] * size
+    """:func:`nerve_coefficients` from the spherical subsets of a rank-``rank``
+    system, by one superset-sum transform over all 2^n masks."""
+    signs = [0] * (1 << rank)
     for u in spherical:
-        acc[u] = _sign(u.bit_count())
-    step = 1
-    while step < size:
-        for base in range(0, size, 2 * step):
-            acc[base:base + step] = map(add, acc[base:base + step],
-                                        acc[base + step:base + 2 * step])
-        step *= 2
-    return {t: acc[t] for t in spherical}
+        signs[u] = _sign(u.bit_count())
+    sums = superset_sums(signs)
+    return {t: sums[t] for t in spherical}
 
 
 # ---------------------------------------------------------------------------

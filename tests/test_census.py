@@ -1,5 +1,5 @@
 """Simplex censuses, Euler series, face-length drops, and panel unions; the
-class walk is held to an element-level reference walk written here."""
+coset counts are held to an element-level reference walk written here."""
 
 from collections import Counter
 
@@ -205,7 +205,7 @@ def test_euler_series_prefix_stability(oracle_for):
 
 
 # ---------------------------------------------------------------------------
-# the class walk against the record walk
+# the coset counts against the record walk
 # ---------------------------------------------------------------------------
 
 def _kinds(matrix):
@@ -287,10 +287,12 @@ def _reference_coset_counts(matrix, horizon, oracle, types):
 
 
 def _assert_coset_counts_match_elements(matrix, horizon, oracle):
-    for types in (range(matrix.full_mask + 1), spherical_subsets(matrix)):
-        counts = _coset_counts(matrix, horizon, oracle, types)
-        assert list(counts) == list(types)
-        assert counts == _reference_coset_counts(matrix, horizon, oracle, types)
+    # at horizon 0 the ball is one chamber, so its digits are one bit wide
+    for h in (0, horizon):
+        for types in (range(matrix.full_mask + 1), spherical_subsets(matrix)):
+            counts = _coset_counts(matrix, h, oracle, types)
+            assert list(counts) == list(types)
+            assert counts == _reference_coset_counts(matrix, h, oracle, types)
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
@@ -302,23 +304,6 @@ def test_coset_counts_match_elements_on_catalog(entry, oracle_for):
 @given(systems_up_to_rank_5())
 def test_coset_counts_match_elements_on_random_systems(matrix):
     _assert_coset_counts_match_elements(matrix, 5, WordOracle(matrix))
-
-
-def test_coset_counts_walk_submasks_or_types_by_cost(monkeypatch, oracle_for):
-    # tilde-a2 davis has 7 types: the identity's free set has 8 submasks, so
-    # its class scans the types; a length-1 class's free set has 4, walked
-    m, o = get("tilde-a2").matrix, oracle_for("tilde-a2")
-    types, submasks, walked = spherical_subsets(m), census.submasks, []
-
-    def recording(mask):
-        walked.append(mask)
-        return submasks(mask)
-
-    monkeypatch.setattr(census, "submasks", recording)
-    counts = _coset_counts(m, 1, o, types)
-    assert len(types) == 7
-    assert sorted(walked) == [0b011, 0b101, 0b110]
-    assert counts == _reference_coset_counts(m, 1, o, types)
 
 
 def test_series_expand_runs_once_per_subgroup_series(monkeypatch):
@@ -333,6 +318,16 @@ def test_series_expand_runs_once_per_subgroup_series(monkeypatch):
     slices = census_by_type(get("a3").matrix, "coxeter")
     assert len(slices) == 7 and all(tc.matches for tc in slices)
     assert len(calls) == 4
+
+
+def test_types_of_one_subgroup_series_and_coefficient_share_their_closed_form():
+    # a3 coxeter: {1}, {2}, {3} share ([2], -1) and {1,2}, {2,3} share ([2][3], 1)
+    slices = census_by_type(get("a3").matrix, "coxeter")
+    for a in slices:
+        for b in slices:
+            assert (a.closed_form is b.closed_form) == (a.closed_form == b.closed_form)
+            assert (a.closed_series is b.closed_series) == (a.closed_form == b.closed_form)
+    assert len({id(tc.closed_form) for tc in slices}) == 4
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)

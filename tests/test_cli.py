@@ -11,7 +11,8 @@ import jsonschema
 import pytest
 
 import coxgrowth
-from coxgrowth import coxeter_matrix, euler_series, get, serialize_coxeter
+from coxgrowth import (cli, coxeter_matrix, euler_series, format_ratfunc, get,
+                       serialize_coxeter)
 from coxgrowth.cli import COMMANDS, REPORT_SCHEMA, _build_parser, main
 from test_census import reference_records
 
@@ -84,6 +85,20 @@ def test_census_text(capsys):
                        "--complex", "davis", "--max-length", "5")
     assert code == 0
     assert "chi_t coefficients: [1, 0, 0, 0, 0, 0]" in out
+
+
+def test_census_formats_each_distinct_closed_form_once(capsys, monkeypatch):
+    # a3's seven proper subsets have four distinct closed forms
+    formatted = []
+
+    def recording(r):
+        formatted.append(r)
+        return format_ratfunc(r)
+
+    monkeypatch.setattr(cli, "format_ratfunc", recording)
+    code, doc, _ = run_json(capsys, "census", f"{SYS}/a3.cox", "--complex", "coxeter")
+    assert code == 0 and len(doc["data"]["by_type"]) == 7
+    assert len(formatted) == 4
 
 
 def test_census_tits_json(capsys):

@@ -1,5 +1,7 @@
 """Parsing, serialization, bitmask helpers, and matrix validation."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +9,7 @@ from coxgrowth.coxeter import (INFINITY, CoxeterMatrix, CoxParseError,
                                RANK_CAP, bits_of, coxeter_matrix,
                                diagram_components, format_subset, mask_of,
                                parse_coxeter_file,
-                               serialize_coxeter, submasks)
+                               serialize_coxeter, superset_sums)
 
 
 def test_parse_minimal():
@@ -125,29 +127,29 @@ def test_bits_and_masks():
     assert format_subset(0) == "{}"
 
 
-def test_submasks_enumeration():
-    subs = sorted(submasks(0b101))
-    assert subs == [0b000, 0b001, 0b100, 0b101]
-    assert list(submasks(0)) == [0]
-
-
 @pytest.mark.parametrize("mask", [-1, -2, -0b1011, -(1 << 20)])
 def test_negative_masks_are_rejected(mask):
     # -1 >> 1 == -1, so a negative mask once made these loops run forever
     with pytest.raises(ValueError, match="mask must be nonnegative"):
         bits_of(mask)
     with pytest.raises(ValueError, match="mask must be nonnegative"):
-        next(submasks(mask))
-    with pytest.raises(ValueError, match="mask must be nonnegative"):
         format_subset(mask)
 
 
-@given(st.integers(min_value=0, max_value=2 ** 10 - 1))
-def test_submasks_complete(mask):
-    subs = list(submasks(mask))
-    assert len(subs) == 1 << mask.bit_count()
-    assert len(set(subs)) == len(subs)
-    assert all(s & mask == s for s in subs)
+@pytest.mark.parametrize("n", range(8))
+def test_superset_sums_match_the_definition(n):
+    # from n = 3 on, the passes slice both by offset and by block
+    rng = random.Random(n)
+    for bound in (9, 1 << 80):
+        values = [rng.randint(-bound, bound) for _ in range(1 << n)]
+        want = [sum(values[u] for u in range(1 << n) if u & t == t) for t in range(1 << n)]
+        assert superset_sums(values) is values and values == want
+
+
+@pytest.mark.parametrize("size", [0, 3, 6, 12])
+def test_superset_sums_need_a_power_of_two(size):
+    with pytest.raises(ValueError, match="need 2\\^n values"):
+        superset_sums([1] * size)
 
 
 def test_diagram_components():

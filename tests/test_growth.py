@@ -10,7 +10,7 @@ from coxgrowth import (ENTRIES, INFINITY, InvariantViolation, WordOracle,
                        classify, get, growth_series, nerve_coefficients,
                        spherical_subsets, verify_identities, verify_identity)
 from coxgrowth import growth
-from coxgrowth.coxeter import coxeter_matrix, submasks
+from coxgrowth.coxeter import coxeter_matrix
 from coxgrowth.classify import classify_all
 from coxgrowth.growth import GrowthTable
 from coxgrowth.ratfunc import (Poly, RatFunc, cyclotomic, format_ratfunc, series_expand,
@@ -266,8 +266,8 @@ def _seed_table(matrix):
     for subset in sorted(range(1, 1 << matrix.rank), key=lambda T: (T.bit_count(), T)):
         info = classify(matrix, subset)
         acc = RatFunc(0)
-        for sub in submasks(subset):
-            if sub != subset:
+        for sub in range(subset):               # a proper subset is a smaller mask
+            if sub & subset == sub:
                 acc = acc + (-1) ** sub.bit_count() * inverse[sub]
         size = subset.bit_count()
         if info.finite:
