@@ -60,17 +60,19 @@ def chain_sums(spherical: tuple) -> dict:
     is their number.
 
     A chain from T is T alone or T followed by a chain from a strict
-    superset U, so e_T = 1 - sum_{U > T} e_U and c_T = 1 + sum_{U > T} c_U,
-    and one pass from the top counts them without listing a chain.  By
-    P. Hall's theorem e_T = (-1)^{|T|} chi_T; the recursion does not use
+    superset U, so e_T = 1 - sum_{U > T} e_U and c_T = 1 + sum_{U > T} c_U:
+    one :func:`superset_sums` of each per size of T, from the largest down.
+    By P. Hall's theorem e_T = (-1)^{|T|} chi_T; the recursion does not use
     it, so each can check the other.
     """
-    signed, counts = {}, {}
-    for i in range(len(spherical) - 1, -1, -1):    # a strict superset is a larger mask
-        t = spherical[i]
-        above = [u for u in spherical[i + 1:] if u & t == t]
-        signed[t] = 1 - sum(signed[u] for u in above)
-        counts[t] = 1 + sum(counts[u] for u in above)
+    signed, by_size = [0] * (1 << spherical[-1].bit_length()), {}
+    counts = signed.copy()
+    for t in spherical:
+        by_size.setdefault(t.bit_count(), []).append(t)
+    for size in sorted(by_size, reverse=True):    # only larger sets hold values yet
+        above_signed, above_counts = superset_sums(signed.copy()), superset_sums(counts.copy())
+        for t in by_size[size]:
+            signed[t], counts[t] = 1 - above_signed[t], 1 + above_counts[t]
     return {t: (signed[t], counts[t]) for t in spherical}
 
 

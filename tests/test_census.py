@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from coxgrowth import (ENTRIES, GrowthTable, RatFunc, WordOracle, census, census_by_type,
                        classify, euler_series, get, nerve_coefficients,
-                       panel_union_euler, series_expand, spherical_subsets)
+                       panel_union_euler, parse_coxeter_file, series_expand,
+                       spherical_subsets)
 from coxgrowth.census import KINDS, _coset_counts, chain_sums, check_face_length_drop
-from test_growth import systems_up_to_rank_5, systems_up_to_rank_6
+from test_classify import SYSTEMS
+from test_growth import (_cycle, _free, _path, _right_angled_cycle, systems_up_to_rank_5,
+                         systems_up_to_rank_6)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +121,39 @@ def test_chain_sums_match_listed_chains_on_catalog(entry):
 @given(systems_up_to_rank_6())
 def test_chain_sums_match_listed_chains_on_random_systems(matrix):
     _assert_chain_sums_match_chains(matrix)
+
+
+def chain_sums_by_scan(spherical):
+    """The recursion of :func:`chain_sums` with each T's strict supersets
+    found by scanning the larger masks: O(|Sph|^2), the reference."""
+    signed, counts = {}, {}
+    for i in range(len(spherical) - 1, -1, -1):    # a strict superset is a larger mask
+        t = spherical[i]
+        above = [u for u in spherical[i + 1:] if u & t == t]
+        signed[t] = 1 - sum(signed[u] for u in above)
+        counts[t] = 1 + sum(counts[u] for u in above)
+    return {t: (signed[t], counts[t]) for t in spherical}
+
+
+def _assert_chain_sums_match_scan(matrix):
+    spherical = spherical_subsets(matrix)
+    assert list(chain_sums(spherical).items()) == list(chain_sums_by_scan(spherical).items())
+
+
+@pytest.mark.parametrize("path", sorted(SYSTEMS.glob("*.cox")), ids=lambda p: p.stem)
+def test_chain_sums_match_scan_on_shipped_systems(path):
+    _assert_chain_sums_match_scan(parse_coxeter_file(path.read_text()))
+
+
+@pytest.mark.parametrize("family", [_path, _cycle, _right_angled_cycle, _free],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_chain_sums_match_scan_on_families_to_rank_ten(family):
+    for n in range(3 if family in (_cycle, _right_angled_cycle) else 1, 11):
+        _assert_chain_sums_match_scan(family(n))
+
+
+def test_chain_sums_rank_zero():
+    assert chain_sums((0,)) == {0: (1, 1)}
 
 
 def test_valid_type_masks():

@@ -80,6 +80,25 @@ def test_chi_output(capsys):
     assert "chi_T =  -1" in out  # the empty set's coefficient
 
 
+@pytest.mark.parametrize("name, wrong", [
+    ("chain_sums", lambda sums: (sums[0] + 1, sums[1])),    # the link side, e_T
+    ("nerve_coefficients", lambda chi: chi + 1),            # the nerve side, chi_T
+])
+def test_chi_hall_check_fails_on_one_wrong_value(capsys, monkeypatch, name, wrong):
+    computed = getattr(cli, name)
+
+    def one_wrong(arg):
+        values = computed(arg)
+        last = list(values)[-1]
+        return {**values, last: wrong(values[last])}
+
+    monkeypatch.setattr(cli, name, one_wrong)
+    code, doc, _ = run_json(capsys, "chi", f"{SYS}/tilde-a2.cox")
+    assert code == 1
+    assert [c["status"] for c in doc["checks"]].count("fail") == 1
+    assert len(doc["checks"]) == 7
+
+
 def test_census_text(capsys):
     code, out, _ = run(capsys, "census", f"{SYS}/tilde-a2.cox",
                        "--complex", "davis", "--max-length", "5")
