@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 
 from .classify import classify, classify_all
 from .coxeter import CoxeterMatrix, Mask, format_subset, superset_sums
-from .growth import GrowthTable, _nerve_coefficients, _sign
+from .growth import GrowthTable, _cyclotomic_factors, _nerve_coefficients, _sign
 from .oracle import WordOracle, _checked_oracle, coset_components
-from .ratfunc import Poly, RatFunc, series_expand
+from .ratfunc import Poly, RatFunc, cancel_factors, series_expand
 
 KINDS = ("coxeter", "davis", "tits")
 LEMMA_KINDS = ("coxeter", "davis")    # the chamber models; the lemma checks take these
@@ -215,7 +215,12 @@ def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
         coeff = chis[t] * _sign(size) if kind == "davis" else _sign(matrix.rank - size - 1)
         if (wt, coeff) not in closed_forms:
             if wt not in quotients:
-                base = RatFunc(w.num * wt.den, w.den * wt.num)
+                info = table.infos[t]
+                if info.finite:       # W_T = prod_k Phi_k^{#{i : k | d_i}} (Solomon): no gcd
+                    num, rest = cancel_factors(w.num, _cyclotomic_factors((info.degrees,)))
+                    base = RatFunc.from_coprime(num, w.den * rest)
+                else:
+                    base = RatFunc(w.num * wt.den, w.den * wt.num)
                 quotients[wt] = base, series_expand(base, horizon)
             base, expansion = quotients[wt]
             closed_shift = wt.num.degree if kind == "tits" else 0

@@ -13,6 +13,7 @@ import json
 import sys
 from collections import Counter
 from datetime import datetime, timezone
+from itertools import islice
 
 from . import __version__
 from .catalog import ENTRIES
@@ -309,7 +310,12 @@ def main(argv=None) -> int:
             "data": data,
             "exit_status": exit_status,
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        # the same bytes as json.dumps, without the report as one string; in
+        # batches, since each write may be a system call (PYTHONUNBUFFERED)
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+        while batch := "".join(islice(chunks, 4096)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     else:
         for line in lines:
             print(line)

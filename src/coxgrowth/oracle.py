@@ -30,14 +30,18 @@ therefore created in ShortLex order with canonical word canonical(w) + (s,),
 and no braid class is ever formed.
 
 The walk for a t that is not a descent of w stops at its first step, so only
-the t in D(w) are walked, and most ascents need no walk at all.  Call s a
-free ascent of w when no t with m(s, t) finite (m = 2 included) is a descent
-of w; then every walk stops at its first step.  That answer is exact: a
-second descent t of v = w*s would force v = x*w0(s, t) with lengths adding,
-so w = v*s would end in the alternating word of length m - 1 ending in t,
-and t would be a descent of w.  So v has the single descent s, w is the
-only element one step below it, v is new, and its row is blank but for w
-at s.  On a free product every ascent is free.
+the t in D(w) are walked, and most ascents need no walk at all.  Which walks
+those are depends on w only through its descent mask, so each mask's plan is
+worked out once per oracle, the first time the mask is met: per ascent s, the
+walks of the t in D(w) with m(s, t) finite, each as the m - 2 letters it
+steps down by after t and the m - 1 it climbs back by.  Call s a free ascent
+of w when its walk list is empty: no t with m(s, t) finite (m = 2 included)
+is a descent of w.  That answer is exact: a second descent t of v = w*s
+would force v = x*w0(s, t) with lengths adding, so w = v*s would end in the
+alternating word of length m - 1 ending in t, and t would be a descent of
+w.  So v has the single descent s, w is the only element one step below it,
+v is new, and its row is blank but for w at s.  On a free product every
+ascent is free.
 
 Geometric oracle.  :class:`GeometricOracle` enumerates the same balls through
 the contragredient action of W on the Tits cone, in exact integer arithmetic,
@@ -72,12 +76,15 @@ class WordOracle:
         self.matrix = matrix
         self.rank = matrix.rank
         orders = matrix.orders
-        # per generator s: the (t, m(s, t)) with t != s and a finite order,
-        # and the mask of those t (m = 2 included)
-        self._partners = [[(t, orders[s][t]) for t in range(self.rank)
-                           if t != s and orders[s][t] is not INFINITY]
-                          for s in range(self.rank)]
-        self._partner_masks = [sum(1 << t for t, _ in p) for p in self._partners]
+        # per generator s, per t != s with m = m(s, t) finite (m = 2 included):
+        # (t, its bit, the m - 2 letters s, t, s, ... the walk steps down by
+        # after its first step by t, the m - 1 letters it climbs back by)
+        self._walks = [[(t, 1 << t, ((s, t) * m)[:m - 2], ((s, t) * m)[m - 2:2 * m - 3])
+                        for t, m in enumerate(orders[s]) if t != s and m is not INFINITY]
+                       for s in range(self.rank)]
+        # descent mask -> per ascent s: (s, its bit, s - rank, the walks whose
+        # t is a descent); built the first time the mask is met
+        self._plans = {}
         self._last = bytearray(1)     # id -> last letter of its canonical word (0 for e)
         self._descents = [0]          # id -> right descent mask
         self._table = [-1] * self.rank  # id * rank + s -> id of w*s; -1 until built
@@ -88,53 +95,46 @@ class WordOracle:
 
     def _extend(self):
         """Build the next sphere from the last one (see the module docstring)."""
-        rank = self.rank
-        partners, partner_masks = self._partners, self._partner_masks
+        rank, walks_of, plans = self.rank, self._walks, self._plans
         last, descents, table = self._last, self._descents, self._table
         blank = [-1] * rank
-        pairs = [((s, False), (s, True)) for s in range(rank)]
-        ascents_of = {}                   # descent mask -> [(ascent s, free?)]
         new = len(descents)               # the id the next new element gets
         for w in range(self._starts[-2], self._starts[-1]):
             dw = descents[w]
-            ascents = ascents_of.get(dw)
-            if ascents is None:
-                # shared pairs: a mask's list costs one pointer per ascent
-                ascents = ascents_of[dw] = [pairs[s][not dw & partner_masks[s]]
-                                            for s in range(rank) if not dw >> s & 1]
+            plan = plans.get(dw)
+            if plan is None:
+                plan = plans[dw] = [(s, 1 << s, s - rank,
+                                     [walk for walk in walks_of[s] if dw >> walk[0] & 1])
+                                    for s in range(rank) if not dw >> s & 1]
             row = w * rank
-            for s, free in ascents:
-                if free:
-                    # no partner of s is a descent of w: v = w*s is new with
-                    # descent set {s}, and its row is blank but for w at s
+            for s, bit, back, walks in plan:
+                if not walks:
+                    # a free ascent: v = w*s is new with descent set {s}, and
+                    # its row, the table's last, is blank but for w at s
                     last.append(s)
-                    descents.append(1 << s)
+                    descents.append(bit)
                     table += blank
-                    table[new * rank + s] = w
+                    table[back] = w
                     table[row + s] = new
                     new += 1
                     continue
                 v = -1
-                mask = 1 << s
-                down = [-1] * rank            # v's table row: v*t at its descents t
+                mask = bit
+                down = blank.copy()           # v's table row: v*t at its descents t
                 down[s] = w
-                for t, m in partners[s]:
-                    if not dw >> t & 1:
-                        continue              # the walk's first step fails
-                    x, a, b = table[row + t], s, t    # first step down by t
-                    for _ in range(m - 2):
+                for t, tbit, downs, ups in walks:
+                    x = table[row + t]        # first step down by t
+                    for a in downs:
                         if not descents[x] >> a & 1:
                             break
                         x = table[x * rank + a]
-                        a, b = b, a
                     else:
-                        for _ in range(m - 1):
+                        for a in ups:
                             x = table[x * rank + a]
-                            a, b = b, a
                         if x < w:
                             v = table[x * rank + t]
                             break
-                        mask |= 1 << t
+                        mask |= tbit
                         down[t] = x
                 if v < 0:
                     v = new

@@ -10,7 +10,9 @@ from coxgrowth import (ENTRIES, GrowthTable, RatFunc, WordOracle, census, census
                        classify, euler_series, get, nerve_coefficients,
                        panel_union_euler, parse_coxeter_file, series_expand,
                        spherical_subsets)
+from coxgrowth import ratfunc
 from coxgrowth.census import KINDS, _coset_counts, chain_sums, check_face_length_drop
+from coxgrowth.ratfunc import poly_gcd
 from test_classify import SYSTEMS
 from test_growth import (_cycle, _free, _path, _right_angled_cycle, systems_up_to_rank_5,
                          systems_up_to_rank_6)
@@ -315,6 +317,27 @@ def test_closed_forms_as_before_on_catalog(entry, oracle_for):
 @given(systems_up_to_rank_5())
 def test_closed_forms_as_before_on_random_systems(matrix):
     _assert_closed_forms_as_before(matrix, WordOracle(matrix))
+
+
+@pytest.mark.parametrize(
+    "matrix", [_path(n) for n in range(1, 9)] + [_cycle(n) for n in range(3, 9)],
+    ids=[f"a{n}" for n in range(1, 9)] + [f"cycle3-{n}" for n in range(3, 9)])
+def test_closed_forms_as_before_on_paths_and_cycles(matrix):
+    # every W / W_T of a spherical T comes from trial division by Solomon's factors
+    _assert_closed_forms_as_before(matrix, WordOracle(matrix))
+
+
+def test_census_by_type_takes_no_gcd_on_a_finite_group(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", counted)
+    for kind in ("coxeter", "tits"):
+        assert all(tc.matches for tc in census_by_type(get("h3").matrix, kind))
+    assert calls == []
 
 
 def _reference_coset_counts(matrix, horizon, oracle, types):

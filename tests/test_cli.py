@@ -330,3 +330,16 @@ def test_davis_census_memory_is_bounded_by_the_answer(tmp_path):
     doc = json.loads(done.stdout)
     assert len(doc["data"]["by_type"]) == 1023
     assert all(row["matches"] for row in doc["data"]["by_type"])
+
+
+def test_json_report_of_many_batches_is_json_dumps(capsys, tmp_path):
+    # A_8 has 255 coxeter types, so its report is written in more than one batch
+    system = tmp_path / "a8.cox"
+    system.write_text(serialize_coxeter(coxeter_matrix(8, {(i, i + 1): 3 for i in range(7)})),
+                      encoding="utf-8")
+    code, out, _ = run(capsys, "census", str(system), "--complex", "coxeter",
+                       "--max-length", "2", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["exit_status"] == 0
+    assert sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)) > 4096
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"

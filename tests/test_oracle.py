@@ -435,9 +435,9 @@ def test_extend_matches_the_walk_on_shipped_systems(path):
 
 
 @st.composite
-def systems_up_to_rank_5(draw):
+def systems_up_to_rank_5(draw, orders=(2, 3, 4, 5, 6, 7, 8, INFINITY)):
     rank = draw(st.integers(min_value=1, max_value=5))
-    pairs = {(i, j): draw(st.sampled_from([2, 3, 4, 5, 6, INFINITY]))
+    pairs = {(i, j): draw(st.sampled_from(orders))
              for i in range(rank) for j in range(i + 1, rank)}
     return coxeter_matrix(rank, pairs)
 
@@ -449,13 +449,29 @@ def test_extend_matches_the_walk_on_random_systems(matrix):
 
 
 def test_free_ascent_needs_the_commuting_partners():
-    # leave the m = 2 partners out of the masks: an ascent s of w with a
+    # drop the m = 2 walks before the ball is built: an ascent s of w with a
     # commuting descent t counts as free, and v = w*s loses its descent t
     matrix = get("racg-4cycle").matrix
     broken = WordOracle(matrix)
-    broken._partner_masks = [sum(1 << t for t, m in p if m != 2) for p in broken._partners]
-    assert broken._partner_masks != WordOracle(matrix)._partner_masks
+    broken._walks = [[walk for walk in walks if matrix.orders[s][walk[0]] != 2]
+                     for s, walks in enumerate(broken._walks)]
+    assert broken._walks != WordOracle(matrix)._walks
     assert _arrays(broken, 10) != _reference_arrays(matrix, 10)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
+def test_one_plan_per_descent_mask_met(entry):
+    oracle = WordOracle(entry.matrix)
+    oracle.sphere_sizes(10)
+    extended = oracle._descents[:oracle._starts[-2]]   # the ids whose ascents were taken
+    assert set(oracle._plans) == set(extended)
+    rank, orders = oracle.rank, entry.matrix.orders
+    for d, plan in oracle._plans.items():
+        # the ascents of d, each with the walks of its partners in d
+        assert [s for s, *_ in plan] == [s for s in range(rank) if not d >> s & 1]
+        for s, _, _, walks in plan:
+            assert [t for t, *_ in walks] == [t for t in range(rank) if d >> t & 1
+                                              and orders[s][t] is not INFINITY]
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +686,10 @@ def test_layers_match_the_step_and_mask_search(name, horizon, integral):
     assert g.layers(horizon) == _step_and_mask_layers(g, horizon)
 
 
+# orders up to 6: the Tits-cone search grows steeply with the lcm of the
+# orders (d = 192 coordinates for orders 5 to 8 together)
 @settings(max_examples=20, deadline=None)
-@given(systems_up_to_rank_5())
+@given(systems_up_to_rank_5(orders=(2, 3, 4, 5, 6, INFINITY)))
 def test_layers_match_the_step_and_mask_search_on_random_systems(matrix):
     g = oracle_module.GeometricOracle(matrix)
     assert g.layers(5) == _step_and_mask_layers(g, 5)
