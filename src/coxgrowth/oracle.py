@@ -2,18 +2,18 @@
 
 Word oracle.  Every element gets an integer id, assigned in ShortLex order
 (by length, then lexicographically by canonical word, the ShortLex-least
-reduced word), and stores three things: its last letter (one byte), its
-right descent mask, and a row of ``rank`` ids giving its right multiple by
-each generator.  Nothing else is kept per element.  The parent of an
-element, the one its canonical word reaches a letter earlier, is the table
-entry at its last letter, so :meth:`WordOracle.word` rebuilds a canonical
-word from the parent chain only when a caller asks for one, and
-:meth:`WordOracle.id_of` turns a word into an id by walking the table from
-the identity.  Elements are addressed by id only: multiplication
-(:meth:`WordOracle.times`) and descent sets are table lookups, and callers
-that iterate ids (:meth:`WordOracle.sphere_ids`, :meth:`WordOracle.descents`)
-or count a sphere's descent masks (:meth:`WordOracle.descent_counts`) build
-no word at all.
+reduced word), and stores two things: its right descent mask and a row of
+``rank`` ids giving its right multiple by each generator.  Nothing else is
+kept per element.  The parent of an element v, the one its canonical word
+reaches a letter earlier, is the v*t of smallest id over its descents t (see
+below), so :meth:`WordOracle.word` rebuilds a canonical word from the parent
+chain only when a caller asks for one, and :meth:`WordOracle.id_of` turns a
+word into an id by walking the table from the identity.  Elements are
+addressed by id only: multiplication (:meth:`WordOracle.times`) and descent
+sets are table lookups, and callers that iterate ids
+(:meth:`WordOracle.sphere_ids`, :meth:`WordOracle.descents`), count a
+sphere's descent masks (:meth:`WordOracle.descent_counts`) or collect the
+ball's distinct masks (:meth:`WordOracle.ball_masks`) build no word at all.
 
 Sphere k + 1 is built from sphere k alone.  Walk sphere k in ShortLex order;
 for an element w and an ascent s, the element v = w*s has s as a descent with
@@ -85,7 +85,6 @@ class WordOracle:
         # descent mask -> per ascent s: (s, its bit, s - rank, the walks whose
         # t is a descent); built the first time the mask is met
         self._plans = {}
-        self._last = bytearray(1)     # id -> last letter of its canonical word (0 for e)
         self._descents = [0]          # id -> right descent mask
         self._table = [-1] * self.rank  # id * rank + s -> id of w*s; -1 until built
         self._starts = [0, 1]         # sphere k holds the ids starts[k] .. starts[k+1] - 1
@@ -96,7 +95,8 @@ class WordOracle:
     def _extend(self):
         """Build the next sphere from the last one (see the module docstring)."""
         rank, walks_of, plans = self.rank, self._walks, self._plans
-        last, descents, table = self._last, self._descents, self._table
+        descents, table = self._descents, self._table
+        append = descents.append
         blank = [-1] * rank
         new = len(descents)               # the id the next new element gets
         for w in range(self._starts[-2], self._starts[-1]):
@@ -111,8 +111,7 @@ class WordOracle:
                 if not walks:
                     # a free ascent: v = w*s is new with descent set {s}, and
                     # its row, the table's last, is blank but for w at s
-                    last.append(s)
-                    descents.append(bit)
+                    append(bit)
                     table += blank
                     table[back] = w
                     table[row + s] = new
@@ -139,8 +138,7 @@ class WordOracle:
                 if v < 0:
                     v = new
                     new += 1
-                    last.append(s)
-                    descents.append(mask)
+                    append(mask)
                     table += down
                 table[row + s] = v
         self._starts.append(new)
@@ -186,12 +184,17 @@ class WordOracle:
     def word(self, i: int) -> Word:
         """Canonical word of element i, rebuilt along its parent chain."""
         self._check_id(i)
-        rank, last, table = self.rank, self._last, self._table
+        rank, descents, table = self.rank, self._descents, self._table
         letters = []
         while i:
-            s = last[i]
+            # the parent is the i*t of smallest id over the descents t of i,
+            # each of them shorter than i
+            row, d, parent = i * rank, descents[i], i
+            for t in range(rank):
+                if d >> t & 1 and table[row + t] < parent:
+                    parent, s = table[row + t], t
             letters.append(s)
-            i = table[i * rank + s]
+            i = parent
         letters.reverse()
         return tuple(letters)
 
@@ -204,6 +207,10 @@ class WordOracle:
         """Descent mask -> number of elements of length k with that mask."""
         ids = self.sphere_ids(k)
         return Counter(islice(self._descents, ids.start, ids.stop))
+
+    def ball_masks(self, horizon: int) -> set:
+        """The distinct descent masks of the elements of length at most ``horizon``."""
+        return set(islice(self._descents, sum(self.sphere_sizes(horizon))))
 
     def sphere_sizes(self, horizon: int) -> list:
         if horizon < 0:
@@ -502,6 +509,10 @@ class GeometricOracle:
     elements have distinct vectors and deduplication compares exact tuples.
     The descents of w are the s with y_s < 0, so BFS steps only along
     ascents, and a new element can coincide only with one of its own layer.
+    An element w whose one descent is s has w*s as its only element one step
+    below, so it is reached once: in integer arithmetic, where the child's
+    mask is known before the deduplication, only children with two or more
+    descents are deduplicated.
     """
 
     def __init__(self, matrix: CoxeterMatrix):
@@ -560,6 +571,13 @@ class GeometricOracle:
                             if u < 0:
                                 mask |= 1 << t
                         child[s] = -v
+                        child = tuple(child)
+                        # a child whose one descent is s has one element below
+                        # it, this parent, so only the others can repeat
+                        if mask & (mask - 1):
+                            if child in seen:
+                                continue
+                            seen.add(child)
                     else:
                         v = y[s * d:(s + 1) * d]
                         for t, c in coupled:
@@ -572,17 +590,16 @@ class GeometricOracle:
                                     for j, e in row:
                                         child[i] += e * v[j]
                         child[s * d:(s + 1) * d] = [-x for x in v]
-                    child = tuple(child)
-                    if child in seen:
-                        continue
-                    seen.add(child)
-                    nxt.append(child)
-                    if ring is not None:
+                        child = tuple(child)
+                        if child in seen:
+                            continue
+                        seen.add(child)
                         # signs in Z[c] cost more: decided for new elements only
                         for t, _ in coupled:
                             u = child[t * d:(t + 1) * d]
                             if min(u) < 0 and sign(u) < 0:   # no negative coordinate: positive
                                 mask |= 1 << t
+                    nxt.append(child)
                     layer.append((p, s, mask))
             out.append(layer)
             frontier = nxt
@@ -630,9 +647,10 @@ def cross_check_oracles(matrix: CoxeterMatrix, horizon: int,
     ids = []
     for layer in layers:
         ids = [0 if p is None else table[ids[p] * rank + s] for p, s, _ in layer]
-        for i, (_, _, numeric) in zip(ids, layer):
-            if numeric != descents[i]:
-                mismatches.append((oracle.word(i), descents[i], numeric))
+        # the layer's masks compared as two lists; element by element on a mismatch
+        if [descents[i] for i in ids] != [numeric for _, _, numeric in layer]:
+            mismatches += [(oracle.word(i), descents[i], numeric)
+                           for i, (_, _, numeric) in zip(ids, layer) if numeric != descents[i]]
     return CrossCheckReport(
         horizon=horizon,
         symbolic_sizes=sizes,

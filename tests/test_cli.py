@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import coxgrowth
-from coxgrowth import (cli, coxeter_matrix, euler_series, format_ratfunc, get,
+from coxgrowth import (WordOracle, cli, coxeter_matrix, euler_series, format_ratfunc, get,
                        serialize_coxeter)
 from coxgrowth.cli import COMMANDS, REPORT_SCHEMA, _build_parser, main
 from test_census import reference_records
@@ -156,6 +156,27 @@ def test_oracle_cross_check(capsys):
     assert "descent sets are spherical" in names
     assert "numeric representation agreement" in names
     assert doc["data"]["sphere_sizes"] == [1, 3, 5, 7, 8, 8, 7]
+
+
+def test_oracle_counts_non_spherical_descent_sets(capsys, monkeypatch):
+    # masks overwritten once the ball is built: on the free product of three
+    # Z/2 no two generators span a finite subgroup, and id 45 is the last of
+    # the length-4 ball, so the check fails with three violations
+    sphere_sizes = WordOracle.sphere_sizes
+
+    def corrupted(self, horizon):
+        sizes = sphere_sizes(self, horizon)
+        for i, mask in ((1, 0b111), (7, 0b111), (45, 0b011)):
+            self._descents[i] = mask
+        return sizes
+
+    monkeypatch.setattr(WordOracle, "sphere_sizes", corrupted)
+    code, doc, _ = run_json(capsys, "oracle", f"{SYS}/free-product-3.cox", "--max-length", "4")
+    assert code == 1
+    assert doc["data"]["sphere_sizes"] == [1, 3, 6, 12, 24]
+    check, = [c for c in doc["checks"] if c["name"] == "descent sets are spherical"]
+    assert check["status"] == "fail"
+    assert check["detail"] == "3 violations"
 
 
 @pytest.mark.parametrize("name,kind,horizon", [

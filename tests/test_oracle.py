@@ -144,15 +144,20 @@ def test_descent_counts_match_per_id_descents(entry, oracle_for):
     o = oracle_for(entry.name)
     for k in range(11):
         assert o.descent_counts(k) == Counter(o.descents(i) for i in o.sphere_ids(k)), k
+        assert o.ball_masks(k) == {o.descents(i) for j in range(k + 1)
+                                   for i in o.sphere_ids(j)}, k
     longest = GrowthTable(entry.matrix).infos[entry.matrix.full_mask].longest_length
     if longest is not None:
         # past a finite group's longest element every sphere is empty
         assert sum(o.descent_counts(longest).values()) == 1
         for k in (longest + 1, longest + 5):
             assert o.descent_counts(k) == Counter()
+            assert o.ball_masks(k) == o.ball_masks(longest)
     for k in (-1, -3):
         with pytest.raises(ValueError, match="length must be nonnegative"):
             o.descent_counts(k)
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            o.ball_masks(k)
 
 
 def test_full_histogram_h3(oracle_for):
@@ -358,8 +363,8 @@ def test_id_storage_matches_word_tuple_table(entry):
 
 
 def test_word_oracle_memory_per_element():
-    # last letter, descent mask and a rank-wide row per element: no word tuple
-    # and no index entry (those came to about 300 bytes per element here)
+    # a descent mask and a rank-wide row per element: no word tuple and no
+    # index entry (those came to about 300 bytes per element here)
     tracemalloc.start()
     try:
         o = WordOracle(get("free-product-3").matrix)
@@ -403,9 +408,11 @@ def test_id_accessors_reject_ids_outside_the_table():
 # ---------------------------------------------------------------------------
 
 def _arrays(oracle, horizon):
-    """The word oracle's four arrays, with the ball built to the horizon."""
+    """The word oracle's three arrays, with the ball built to the horizon,
+    and the last letter of every canonical word (0 for e), from ``word``."""
     oracle.sphere_sizes(horizon)
-    return bytes(oracle._last), oracle._descents, oracle._table, oracle._starts
+    last = bytes(oracle.word(i)[-1] if i else 0 for i in range(len(oracle._descents)))
+    return last, oracle._descents, oracle._table, oracle._starts
 
 
 def _reference_arrays(matrix, horizon):
@@ -603,6 +610,31 @@ def test_cross_check_descent_mismatch_is_reported(monkeypatch):
     rep = cross_check_oracles(get("a3").matrix, 6)
     assert rep.symbolic_sizes == rep.numeric_sizes
     assert rep.descent_mismatches == [((0,), 0b001, 0b000)]
+    assert not rep.passed
+
+
+def test_cross_check_compares_every_layer(monkeypatch):
+    # the last geometric mask of every layer flipped, the horizon's included:
+    # one mismatch per layer, in layer order, though each layer is first
+    # compared as a whole
+    layers = oracle_module.GeometricOracle.layers
+
+    def flipped(self, horizon):
+        out = layers(self, horizon)
+        for layer in out:
+            parent, letter, mask = layer[-1]
+            layer[-1] = (parent, letter, mask ^ 0b100)
+        return out
+
+    monkeypatch.setattr(oracle_module.GeometricOracle, "layers", flipped)
+    matrix = get("a3").matrix
+    o = WordOracle(matrix)
+    rep = cross_check_oracles(matrix, 6, o)
+    assert rep.symbolic_sizes == rep.numeric_sizes == [1, 3, 5, 6, 5, 3, 1]
+    assert [word for word, _, _ in rep.descent_mismatches] == [
+        o.word(o.sphere_ids(k)[-1]) for k in range(7)]
+    for word, symbolic, numeric in rep.descent_mismatches:
+        assert symbolic == o.descents(o.id_of(word)) == numeric ^ 0b100
     assert not rep.passed
 
 
