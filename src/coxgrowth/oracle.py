@@ -4,11 +4,14 @@ Word oracle.  Every element gets an integer id, assigned in ShortLex order
 (by length, then lexicographically by canonical word, the ShortLex-least
 reduced word), and stores two things: its right descent mask and a row of
 ``rank`` ids giving its right multiple by each generator.  Nothing else is
-kept per element.  The parent of an element v, the one its canonical word
-reaches a letter earlier, is the v*t of smallest id over its descents t (see
-below), so :meth:`WordOracle.word` rebuilds a canonical word from the parent
-chain only when a caller asks for one, and :meth:`WordOracle.id_of` turns a
-word into an id by walking the table from the identity.  Elements are
+kept per element; the one other list is the frontier, the ids of the last
+sphere built, which the next sphere grows from.  Each id is one int object,
+shared by its parent's row, its children's rows and the frontier.  The
+parent of an element v, the one its canonical word reaches a letter
+earlier, is the v*t of smallest id over its descents t (see below), so
+:meth:`WordOracle.word` rebuilds a canonical word from the parent chain
+only when a caller asks for one, and :meth:`WordOracle.id_of` turns a word
+into an id by walking the table from the identity.  Elements are
 addressed by id only: multiplication (:meth:`WordOracle.times`) and descent
 sets are table lookups, and callers that iterate ids
 (:meth:`WordOracle.sphere_ids`, :meth:`WordOracle.descents`), count a
@@ -52,7 +55,10 @@ coefficient sum of the root w(alpha_t), so the right descents of w are the
 t with y_t < 0, and no y_t is ever 0.  The coefficients lie in Z[c] for
 c = 2cos(pi/M), M the lcm of the finite orders m >= 4 (plain integers when
 there is none); a sign is decided by interval evaluation on a rational
-bracket of c, halved until the sign is certain.
+bracket of c, halved until the sign is certain.  Only the last layer's
+vectors are kept; each layer of the ball is three flat lists, the parent's
+index in the layer before, the letter and the descent mask of each element,
+with no object per element beyond their ints.
 """
 
 from __future__ import annotations
@@ -88,6 +94,7 @@ class WordOracle:
         self._descents = [0]          # id -> right descent mask
         self._table = [-1] * self.rank  # id * rank + s -> id of w*s; -1 until built
         self._starts = [0, 1]         # sphere k holds the ids starts[k] .. starts[k+1] - 1
+        self._frontier = [0]          # the ids of the last sphere, as the table's int objects
         self._exhausted = False
 
     # -- the table -------------------------------------------------------------
@@ -99,7 +106,9 @@ class WordOracle:
         append = descents.append
         blank = [-1] * rank
         new = len(descents)               # the id the next new element gets
-        for w in range(self._starts[-2], self._starts[-1]):
+        frontier = []
+        grow = frontier.append
+        for w in self._frontier:
             dw = descents[w]
             plan = plans.get(dw)
             if plan is None:
@@ -115,6 +124,7 @@ class WordOracle:
                     table += blank
                     table[back] = w
                     table[row + s] = new
+                    grow(new)
                     new += 1
                     continue
                 v = -1
@@ -140,7 +150,9 @@ class WordOracle:
                     new += 1
                     append(mask)
                     table += down
+                    grow(v)
                 table[row + s] = v
+        self._frontier = frontier
         self._starts.append(new)
         if self._starts[-1] == self._starts[-2]:
             self._exhausted = True
@@ -536,15 +548,18 @@ class GeometricOracle:
         self._identity = ((1,) + (0,) * (d - 1)) * n
 
     def layers(self, horizon: int) -> list:
-        """Per-length lists of (parent, letter, descent mask), up to the horizon.
+        """Per-length ``(parents, letters, masks)`` lists, up to the horizon.
 
-        Entry i of layer k + 1 is entry ``parent`` of layer k times the
-        generator ``letter``; layer 0 holds the identity as (None, None, 0).
-        Layers past the end of a finite group are empty.
+        Element i of layer k + 1 is element ``parents[i]`` of layer k times
+        the generator ``letters[i]``, with descent mask ``masks[i]``; layer 0
+        holds the identity as ``([-1], [-1], [0])``.  Layers past the end of
+        a finite group are three empty lists.
 
         A step by s changes only y_s and the y_t coupled to s, so the child's
         mask is the parent's with s set and the coupled bits decided afresh.
         """
+        if horizon < 0:
+            raise ValueError("horizon must be nonnegative")
         n, ring, couplings = self.rank, self.ring, self._couplings
         if ring is not None:
             d, sign = ring.degree, ring.sign
@@ -552,10 +567,11 @@ class GeometricOracle:
         # the step keeps, with s set)
         ascents_of = {}
         frontier = [self._identity]
-        out = [[(None, None, 0)]]
+        out = [([-1], [-1], [0])]
         for _ in range(horizon):
-            layer, nxt, seen = [], [], set()
-            for p, (y, (_, _, dy)) in enumerate(zip(frontier, out[-1])):
+            parents, letters, masks = layer = [], [], []
+            nxt, seen = [], set()
+            for p, (y, dy) in enumerate(zip(frontier, out[-1][2])):
                 ascents = ascents_of.get(dy)
                 if ascents is None:
                     ascents = ascents_of[dy] = [
@@ -600,17 +616,19 @@ class GeometricOracle:
                             if min(u) < 0 and sign(u) < 0:   # no negative coordinate: positive
                                 mask |= 1 << t
                     nxt.append(child)
-                    layer.append((p, s, mask))
+                    parents.append(p)
+                    letters.append(s)
+                    masks.append(mask)
             out.append(layer)
             frontier = nxt
-            if not layer:
+            if not masks:
                 break
         while len(out) <= horizon:
-            out.append([])
+            out.append(([], [], []))
         return out
 
     def sphere_sizes(self, horizon: int) -> list:
-        return [len(layer) for layer in self.layers(horizon)]
+        return [len(masks) for _, _, masks in self.layers(horizon)]
 
 
 @dataclass
@@ -644,16 +662,17 @@ def cross_check_oracles(matrix: CoxeterMatrix, horizon: int,
     rank, table, descents = oracle.rank, oracle._table, oracle._descents
     layers = GeometricOracle(matrix).layers(horizon)
     mismatches = []
-    ids = []
-    for layer in layers:
-        ids = [0 if p is None else table[ids[p] * rank + s] for p, s, _ in layer]
+    ids = [0]
+    for k, (parents, letters, masks) in enumerate(layers):
+        if k:
+            ids = [table[ids[p] * rank + s] for p, s in zip(parents, letters)]
         # the layer's masks compared as two lists; element by element on a mismatch
-        if [descents[i] for i in ids] != [numeric for _, _, numeric in layer]:
+        if [descents[i] for i in ids] != masks:
             mismatches += [(oracle.word(i), descents[i], numeric)
-                           for i, (_, _, numeric) in zip(ids, layer) if numeric != descents[i]]
+                           for i, numeric in zip(ids, masks) if numeric != descents[i]]
     return CrossCheckReport(
         horizon=horizon,
         symbolic_sizes=sizes,
-        numeric_sizes=[len(layer) for layer in layers],
+        numeric_sizes=[len(masks) for _, _, masks in layers],
         descent_mismatches=mismatches,
     )

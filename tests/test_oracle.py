@@ -376,6 +376,18 @@ def test_word_oracle_memory_per_element():
     assert peak <= 128 * elements, peak / elements
 
 
+# triangle-237 reaches id 256 at length 13, so it is built to length 20
+@pytest.mark.parametrize("name,horizon", [("free-product-3", 12), ("triangle-237", 20)])
+def test_each_table_id_is_one_int_object(name, horizon):
+    # an id is held by the parent's row, the children's rows and the frontier
+    # as one shared int (ints up to 256 are shared by the interpreter anyway)
+    o = WordOracle(get(name).matrix)
+    o.sphere_sizes(horizon)
+    big = [x for x in o._table if x > 256]
+    assert big
+    assert len({id(x) for x in big}) == len(set(big))
+
+
 def test_id_accessors():
     o = WordOracle(get("a2").matrix)
     assert o.sphere_ids(0) == range(0, 1)
@@ -596,14 +608,25 @@ def test_wrong_constant_fails_the_cross_check(monkeypatch, name, m):
     assert not rep.passed
 
 
+def test_geometric_oracle_rejects_a_negative_horizon():
+    # a negative horizon once gave the identity layer alone
+    g = oracle_module.GeometricOracle(get("free-product-3").matrix)
+    for horizon in (-1, -2):
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            g.layers(horizon)
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            g.sphere_sizes(horizon)
+    assert g.layers(0) == [([-1], [-1], [0])]
+    assert g.sphere_sizes(0) == [1]
+
+
 def test_cross_check_descent_mismatch_is_reported(monkeypatch):
     # one geometric mask flipped after the search: a mismatch, sizes equal
     layers = oracle_module.GeometricOracle.layers
 
     def flipped(self, horizon):
         out = layers(self, horizon)
-        parent, letter, mask = out[1][0]
-        out[1][0] = (parent, letter, mask ^ 0b001)
+        out[1][2][0] ^= 0b001
         return out
 
     monkeypatch.setattr(oracle_module.GeometricOracle, "layers", flipped)
@@ -621,9 +644,8 @@ def test_cross_check_compares_every_layer(monkeypatch):
 
     def flipped(self, horizon):
         out = layers(self, horizon)
-        for layer in out:
-            parent, letter, mask = layer[-1]
-            layer[-1] = (parent, letter, mask ^ 0b100)
+        for _, _, masks in out:
+            masks[-1] ^= 0b100
         return out
 
     monkeypatch.setattr(oracle_module.GeometricOracle, "layers", flipped)
@@ -686,10 +708,11 @@ def _step_and_mask_layers(geometric, horizon):
                    if min(y[t * d:(t + 1) * d]) < 0 and ring.sign(y[t * d:(t + 1) * d]) < 0)
 
     frontier = [geometric._identity]
-    out = [[(None, None, 0)]]
+    out = [([-1], [-1], [0])]
     for _ in range(horizon):
-        layer, nxt, seen = [], [], set()
-        for p, (y, (_, _, dy)) in enumerate(zip(frontier, out[-1])):
+        parents, letters, masks = [], [], []
+        nxt, seen = [], set()
+        for p, (y, dy) in enumerate(zip(frontier, out[-1][2])):
             for s in range(n):
                 if dy >> s & 1:
                     continue
@@ -697,13 +720,15 @@ def _step_and_mask_layers(geometric, horizon):
                 if child not in seen:
                     seen.add(child)
                     nxt.append(child)
-                    layer.append((p, s, mask(child)))
-        out.append(layer)
+                    parents.append(p)
+                    letters.append(s)
+                    masks.append(mask(child))
+        out.append((parents, letters, masks))
         frontier = nxt
-        if not layer:
+        if not masks:
             break
     while len(out) <= horizon:
-        out.append([])
+        out.append(([], [], []))
     return out
 
 
