@@ -2,14 +2,24 @@
 
 Subcommands: growth, verify, chi, census, oracle, catalog.  Every subcommand
 accepts ``--json`` for a structured report (schema in :data:`REPORT_SCHEMA`).
-Exit codes: 0 all checks pass, 1 computational failure or a failed check,
-2 usage error.  Output is deterministic except for the timestamp field.
+Exit codes: 0 all checks pass, 1 computational failure, a failed check or a
+reader that closed the pipe early, 2 usage error.  Output is deterministic
+except for the timestamp field.
+
+Each subcommand's options are spelled once, in :data:`SUBCOMMANDS`, and two
+parsers read that table.  A plain command line skips argparse: the
+subcommand first, then its file and options, each option by its full name,
+at most once and with its value as the next argument, no file or value that
+is empty or starts with ``-``, ASCII digits for a number, an exact choice
+and every required option given.  Every other command line goes to argparse,
+so help, the version line and every usage error are argparse's, unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from itertools import islice
@@ -230,70 +240,112 @@ def _cmd_catalog(args):
 # parser / entry point
 # ---------------------------------------------------------------------------
 
-COMMANDS = ("growth", "verify", "chi", "census", "oracle", "catalog")
+# Each subcommand's handler, summary and arguments, in the order argparse adds
+# them; an argument is its name and argparse's keyword arguments for it.
+# Both parsers read this table: _build_parser passes it to argparse, and
+# _fast_parse reads the kinds it holds (flags, int and choice options, one
+# plain positional).
+_JSON = ("--json", {"action": "store_true", "help": "emit a JSON report"})
+
+SUBCOMMANDS = {
+    "growth": (_cmd_growth, "growth series of a system as an exact rational function", (
+        ("file", {"help": "path to a .cox system file"}),
+        ("--series", {"type": int, "metavar": "N",
+                      "help": "also print power-series coefficients up to degree N"}),
+    )),
+    "verify": (_cmd_verify, "check the alternating-sum identities exactly", (
+        ("file", {}),
+        ("--identity", {"choices": ("1", "2", "3", "4", "all"), "default": "all"}),
+    )),
+    "chi": (_cmd_chi, "nerve coefficients and link Euler characteristics", (
+        ("file", {}),
+    )),
+    "census": (_cmd_census, "simplex census and Euler-series of a chamber system", (
+        ("file", {}),
+        ("--complex", {"choices": KINDS, "required": True}),
+        ("--max-length", {"type": int, "metavar": "N",
+                          "help": "census horizon (optional for finite groups)"}),
+        ("--by-type", {"action": "store_true", "help": "also print the per-type census lines"}),
+    )),
+    "oracle": (_cmd_oracle, "brute-force sphere sizes by word enumeration", (
+        ("file", {}),
+        ("--max-length", {"type": int, "required": True, "metavar": "N"}),
+        ("--cross-check", {"action": "store_true",
+                           "help": "also run the exact Tits-cone representation"}),
+    )),
+    "catalog": (_cmd_catalog, "list built-in systems, optionally self-testing them", (
+        ("--self-test", {"action": "store_true"}),
+    )),
+}
 
 
-def _build_parser(command=None):
-    """The command-line parser; with a ``command`` from :data:`COMMANDS`, it
-    holds that one subcommand's parser and no other."""
+def _build_parser():
+    """The command-line parser."""
     parser = argparse.ArgumentParser(
         prog="coxgrowth",
         description="Exact growth series of Coxeter groups, with verification tooling.")
     parser.add_argument("--version", action="version", version=f"coxgrowth {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, summary):
+    for name, (func, summary, arguments) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        for arg, kwargs in (_JSON, *arguments):
+            p.add_argument(arg, **kwargs)
         p.set_defaults(func=func)
-        return p
-
-    if command in (None, "growth"):
-        p = add("growth", _cmd_growth, "growth series of a system as an exact rational function")
-        p.add_argument("file", help="path to a .cox system file")
-        p.add_argument("--series", type=int, metavar="N",
-                       help="also print power-series coefficients up to degree N")
-
-    if command in (None, "verify"):
-        p = add("verify", _cmd_verify, "check the alternating-sum identities exactly")
-        p.add_argument("file")
-        p.add_argument("--identity", choices=["1", "2", "3", "4", "all"], default="all")
-
-    if command in (None, "chi"):
-        p = add("chi", _cmd_chi, "nerve coefficients and link Euler characteristics")
-        p.add_argument("file")
-
-    if command in (None, "census"):
-        p = add("census", _cmd_census, "simplex census and Euler-series of a chamber system")
-        p.add_argument("file")
-        p.add_argument("--complex", choices=list(KINDS), required=True)
-        p.add_argument("--max-length", type=int, metavar="N",
-                       help="census horizon (optional for finite groups)")
-        p.add_argument("--by-type", action="store_true",
-                       help="also print the per-type census lines")
-
-    if command in (None, "oracle"):
-        p = add("oracle", _cmd_oracle, "brute-force sphere sizes by word enumeration")
-        p.add_argument("file")
-        p.add_argument("--max-length", type=int, required=True, metavar="N")
-        p.add_argument("--cross-check", action="store_true",
-                       help="also run the exact Tits-cone representation")
-
-    if command in (None, "catalog"):
-        p = add("catalog", _cmd_catalog, "list built-in systems, optionally self-testing them")
-        p.add_argument("--self-test", action="store_true")
     return parser
+
+
+def _fast_parse(argv):
+    """``_build_parser().parse_args(argv)`` for a plain command line (see the
+    module docstring), built without argparse; ``None`` for any other argv."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    func, _, arguments = SUBCOMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    names, options = [], {}
+    for arg, kwargs in (_JSON, *arguments):
+        if arg[0] != "-":
+            names.append(arg)
+            continue
+        dest = arg[2:].replace("-", "_")
+        flag = kwargs.get("action") == "store_true"
+        options[arg] = dest, flag, kwargs
+        values[dest] = kwargs.get("default", False if flag else None)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if not token or not names:
+                return None
+            values[names.pop(0)] = token
+            continue
+        if token not in options:  # -h, --, -1, an abbreviation, --opt=value, a repeat
+            return None
+        dest, flag, kwargs = options.pop(token)
+        if flag:
+            values[dest] = True
+            continue
+        value = next(tokens, "")
+        if value[:1] in ("", "-"):
+            return None
+        if kwargs.get("type") is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    if names or any(kwargs.get("required") for _, _, kwargs in options.values()):
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = extra = None
-    if argv and argv[0] in COMMANDS:
-        args, extra = _build_parser(argv[0]).parse_known_args(argv)
-    if args is None or extra:
-        # no command first, or arguments left over: the full parser parses
-        # again, so that a usage error lists every subcommand
+    args = _fast_parse(argv)
+    if args is None:
         args = _build_parser().parse_args(argv)
     system = getattr(args, "file", None)
     try:
@@ -302,28 +354,36 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     exit_status = 0 if all(c["status"] != "fail" for c in checks) else 1
-    if args.json:
-        doc = {
-            "command": args.command,
-            "system": system,
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "checks": checks,
-            "data": data,
-            "exit_status": exit_status,
-        }
-        # the same bytes as json.dumps, without the report as one string; in
-        # batches, since each write may be a system call (PYTHONUNBUFFERED)
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
-        while batch := "".join(islice(chunks, 4096)):
-            sys.stdout.write(batch)
-        sys.stdout.write("\n")
-    else:
-        for line in lines:
-            print(line)
-        if checks:
-            print(f"result: {'PASS' if exit_status == 0 else 'FAIL'}")
+    try:
+        if args.json:
+            doc = {
+                "command": args.command,
+                "system": system,
+                "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                "checks": checks,
+                "data": data,
+                "exit_status": exit_status,
+            }
+            # the same bytes as json.dumps, without the report as one string; in
+            # batches, since each write may be a system call (PYTHONUNBUFFERED)
+            chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+            while batch := "".join(islice(chunks, 4096)):
+                sys.stdout.write(batch)
+            sys.stdout.write("\n")
+        else:
+            for line in lines:
+                print(line)
+            if checks:
+                print(f"result: {'PASS' if exit_status == 0 else 'FAIL'}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`): stdout goes to the null device, so
+        # that the interpreter's last flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return exit_status
-
 
 if __name__ == "__main__":
     sys.exit(main())

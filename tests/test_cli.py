@@ -1,6 +1,8 @@
 """CLI behaviour: output text, exit codes, and the JSON report schema."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,11 +11,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coxgrowth
 from coxgrowth import (WordOracle, cli, coxeter_matrix, euler_series, format_ratfunc, get,
                        serialize_coxeter)
-from coxgrowth.cli import COMMANDS, REPORT_SCHEMA, _build_parser, main
+from coxgrowth.cli import REPORT_SCHEMA, SUBCOMMANDS, _build_parser, _fast_parse, main
 from test_census import reference_records
 
 SYS = str(Path(__file__).resolve().parent.parent / "systems")
@@ -272,23 +275,24 @@ def _outcome(capsys, call, argv):
 
 @pytest.mark.parametrize("columns", ["60", "200"])
 @pytest.mark.parametrize("argv", [
-    ["--help"], ["--version"], *([command, "--help"] for command in COMMANDS),
+    ["--help"], ["--version"], *([command, "--help"] for command in SUBCOMMANDS),
     [], ["frobnicate"], ["verify", f"{SYS}/a2.cox", "extra"],
     ["verify", f"{SYS}/a2.cox", "--identity", "9"],
     ["census", f"{SYS}/a2.cox", "--complex", "davis", "--max-length", "x"],
     ["--json", "verify", f"{SYS}/a2.cox"],
+    ["oracle", f"{SYS}/a2.cox", "--max-length", "\u00b2"],
+    ["verify", f"{SYS}/a2.cox", "--identity=9"],
 ], ids=lambda argv: " ".join(argv).replace(f"{SYS}/", "") or "no command")
 def test_main_parses_as_the_full_parser(argv, columns, capsys, monkeypatch):
-    # main builds only the subcommand it runs, yet every help text, version
-    # line and usage error is the full parser's, byte for byte
+    # every help text, version line and usage error is the full parser's,
+    # byte for byte
     monkeypatch.setenv("COLUMNS", columns)
     full = _outcome(capsys, lambda a: _build_parser().parse_args(a), argv)
     assert _outcome(capsys, main, argv) == full
     assert full[0] in (0, 2)
 
 
-def test_a_command_builds_two_parsers(capsys, monkeypatch):
-    # the top parser and the one subcommand parser it runs
+def test_only_a_malformed_command_builds_parsers(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -297,8 +301,73 @@ def test_a_command_builds_two_parsers(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert main(["verify", f"{SYS}/a2.cox", "--json"]) == 0
-    assert built == ["coxgrowth", "coxgrowth verify"]
+    for argv in (["verify", f"{SYS}/a2.cox", "--json"],
+                 ["census", "--max-length", "2", f"{SYS}/a3.cox", "--by-type", "--complex", "tits"],
+                 ["growth", f"{SYS}/a2.cox", "--series", "3"],
+                 ["oracle", f"{SYS}/a2.cox", "--max-length", "3", "--cross-check"],
+                 ["chi", f"{SYS}/a2.cox"], ["catalog"]):
+        assert main(argv) == 0
+    assert built == []
+    # an abbreviated option: argparse parses it, and its usage error is argparse's
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", f"{SYS}/a2.cox", "--ident", "9"])
+    assert exc.value.code == 2
+    assert built == ["coxgrowth", *(f"coxgrowth {command}" for command in SUBCOMMANDS)]
+
+
+# tokens the fast parse must leave to argparse, for any subcommand
+# (int() takes the Arabic-Indic three and rejects the superscript two, and
+# 5000 digits are more than it converts)
+_ODD_TOKENS = ["--", "-h", "--help", "--version", "\u0663", "\u00b2", "-1", "-x", "", "0" * 5000,
+               "extra", f"{SYS}/a2.cox", "frobnicate", "3", "all", "tits", "--json"]
+_ODD_TOKENS += [token for _, _, arguments in SUBCOMMANDS.values() for arg, _ in arguments
+                if arg[0] == "-" for token in (arg[:-1], arg + "=3")]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line from the option table: a required option is sometimes
+    left out, a value is sometimes an odd token, and an option is sometimes
+    given twice; then up to three tokens are inserted, deleted, repeated or
+    replaced by odd ones."""
+    command = draw(st.sampled_from(list(SUBCOMMANDS)))
+    odd = st.sampled_from(_ODD_TOKENS)
+    groups = []
+    for arg, kwargs in (cli._JSON, *SUBCOMMANDS[command][2]):
+        if arg[0] != "-":
+            groups.append([draw(st.just(f"{SYS}/a2.cox") | odd)])
+        elif kwargs.get("action") == "store_true":
+            if draw(st.booleans()):
+                groups.append([arg])
+        elif draw(st.booleans()) or kwargs.get("required") and draw(st.booleans()):
+            valid = (st.sampled_from(kwargs["choices"]) if "choices" in kwargs
+                     else st.integers(0, 20).map(str))
+            groups.append([arg, draw(valid | valid | odd)])
+    if groups and draw(st.booleans()):
+        groups.append(draw(st.sampled_from(groups)))
+    argv = [command] + [token for group in draw(st.permutations(groups)) for token in group]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        how = draw(st.sampled_from(["insert", "delete", "repeat", "replace"]))
+        if how == "insert":
+            argv.insert(at, draw(odd))
+        elif at < len(argv):
+            argv[at:at + 1] = ([] if how == "delete" else [argv[at]] * 2 if how == "repeat"
+                               else [draw(odd)])
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_fast_parse_is_the_full_parse_or_none(argv):
+    fast = _fast_parse(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            full = _build_parser().parse_args(argv)
+    except SystemExit:
+        assert fast is None
+    else:
+        assert fast is None or vars(fast) == vars(full)
 
 
 def test_json_deterministic_modulo_timestamp(capsys):
@@ -313,11 +382,17 @@ def test_schema_is_draft7_valid():
     jsonschema.Draft7Validator.check_schema(REPORT_SCHEMA)
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # no command needs numpy: not the import, and not the exact --cross-check
+def _subprocess_env():
+    """This process's environment, with the package under test first on the path."""
     src = str(Path(coxgrowth.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # no command needs numpy: not the import, and not the exact --cross-check
+    env = _subprocess_env()
     argv = ["oracle", f"{SYS}/b3.cox", "--max-length", "6", "--cross-check"]
     code = ("import contextlib, io, sys, coxgrowth.cli\n"
             "print('numpy' in sys.modules)\n"
@@ -336,9 +411,7 @@ def test_davis_census_memory_is_bounded_by_the_answer(tmp_path):
     system = tmp_path / "cycle10.cox"
     system.write_text(serialize_coxeter(coxeter_matrix(
         10, {(i, (i + 1) % 10): 3 for i in range(10)})), encoding="utf-8")
-    src = str(Path(coxgrowth.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _subprocess_env()
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -364,3 +437,22 @@ def test_json_report_of_many_batches_is_json_dumps(capsys, tmp_path):
     assert code == 0 and doc["exit_status"] == 0
     assert sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)) > 4096
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["--json", "--by-type"])
+def test_a_closed_pipe_ends_the_report_quietly(tmp_path, mode):
+    # the A_8 coxeter census at length 2 is a 170 KB JSON report and 93 KB of
+    # text: more than a pipe holds, so the reader's close meets the writer
+    system = tmp_path / "a8.cox"
+    system.write_text(serialize_coxeter(coxeter_matrix(8, {(i, i + 1): 3 for i in range(7)})),
+                      encoding="utf-8")
+    with subprocess.Popen([sys.executable, "-m", "coxgrowth", "census", str(system),
+                           "--complex", "coxeter", "--max-length", "2", mode],
+                          env=_subprocess_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        first = os.read(proc.stdout.fileno(), 4096)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first
+    assert (code, err) == (1, b"")
