@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from .classify import classify, classify_all
 from .coxeter import CoxeterMatrix, Mask, format_subset, superset_sums
 from .growth import GrowthTable, _cyclotomic_factors, _nerve_coefficients, _sign
-from .oracle import WordOracle, _checked_oracle, coset_components
+from .oracle import WordOracle, _built_sizes, _checked_oracle, coset_components
 from .ratfunc import Poly, RatFunc, cancel_factors, series_expand
 
 KINDS = ("coxeter", "davis", "tits")
@@ -265,7 +265,7 @@ def check_face_length_drop(matrix: CoxeterMatrix, kind: str, horizon: int = None
     """
     horizon, oracle = _resolve(matrix, kind, horizon, oracle, LEMMA_KINDS)
     # the ball's ids are 0, 1, ... in ShortLex order, so by length
-    lengths = [k for k, size in enumerate(oracle.sphere_sizes(horizon)) for _ in range(size)]
+    lengths = [k for k, size in enumerate(_built_sizes(oracle, horizon)) for _ in range(size)]
 
     report = FaceLengthReport(kind=kind, horizon=horizon,
                               chambers_checked=len(lengths), simplices_checked=0)

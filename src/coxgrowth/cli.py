@@ -180,6 +180,9 @@ def _cmd_census(args):
 def _cmd_oracle(args):
     matrix = _load(args.file)
     oracle = WordOracle(matrix)
+    # the cross-check builds the whole ball, so it runs before the sizes are
+    # read: otherwise the outermost sphere would be counted and then built
+    rep = cross_check_oracles(matrix, args.max_length, oracle) if args.cross_check else None
     sizes = oracle.sphere_sizes(args.max_length)
     lines = [f"sphere sizes: {sizes}"]
     checks = []
@@ -195,8 +198,7 @@ def _cmd_oracle(args):
                          detail=None if not bad else f"{bad} violations"))
     data = {"rank": matrix.rank, "horizon": args.max_length,
             "sphere_sizes": sizes, "cross_check": None}
-    if args.cross_check:
-        rep = cross_check_oracles(matrix, args.max_length, oracle)
+    if rep is not None:
         checks.append(_check("numeric representation agreement",
                              "pass" if rep.passed else "fail",
                              lhs=str(rep.symbolic_sizes), rhs=str(rep.numeric_sizes),

@@ -46,6 +46,19 @@ w.  So v has the single descent s, w is the only element one step below it,
 v is new, and its row is blank but for w at s.  On a free product every
 ascent is free.
 
+The outermost sphere a count asks for is counted, not built.  Sizes, descent
+counts and the ball's masks read no row of the sphere at the horizon, so
+:meth:`WordOracle.sphere_sizes`, :meth:`WordOracle.descent_counts` and
+:meth:`WordOracle.ball_masks` build the spheres below it and decide the
+sphere after the last one built by the same walks, writing nothing: a free
+ascent counts once per frontier element with its descent mask, and only
+the elements with a walked ascent are walked.  The count is kept until the
+oracle grows.  :meth:`WordOracle.sphere_ids`, :meth:`WordOracle.times` and
+:meth:`WordOracle.id_of` build spheres, and the callers that read the table
+(:func:`coset_components` and the checks built on it,
+:func:`cross_check_oracles`) build their whole ball first, so no sphere is
+counted and then built.
+
 Geometric oracle.  :class:`GeometricOracle` enumerates the same balls through
 the contragredient action of W on the Tits cone, in exact integer arithmetic,
 and shares no code with the table; :func:`cross_check_oracles` compares
@@ -96,12 +109,13 @@ class WordOracle:
         self._starts = [0, 1]         # sphere k holds the ids starts[k] .. starts[k+1] - 1
         self._frontier = [0]          # the ids of the last sphere, as the table's int objects
         self._exhausted = False
+        self._counted = None          # _count() of the sphere after the last built, once asked for
 
     # -- the table -------------------------------------------------------------
 
     def _extend(self):
         """Build the next sphere from the last one (see the module docstring)."""
-        rank, walks_of, plans = self.rank, self._walks, self._plans
+        rank, plans = self.rank, self._plans
         descents, table = self._descents, self._table
         append = descents.append
         blank = [-1] * rank
@@ -112,9 +126,7 @@ class WordOracle:
             dw = descents[w]
             plan = plans.get(dw)
             if plan is None:
-                plan = plans[dw] = [(s, 1 << s, s - rank,
-                                     [walk for walk in walks_of[s] if dw >> walk[0] & 1])
-                                    for s in range(rank) if not dw >> s & 1]
+                plan = self._plan(dw)
             row = w * rank
             for s, bit, back, walks in plan:
                 if not walks:
@@ -154,8 +166,74 @@ class WordOracle:
                 table[row + s] = v
         self._frontier = frontier
         self._starts.append(new)
+        self._counted = None
         if self._starts[-1] == self._starts[-2]:
             self._exhausted = True
+
+    def _plan(self, d: Mask) -> list:
+        """The plan of descent mask d, kept for the next element that has it."""
+        rank, walks_of = self.rank, self._walks
+        plan = self._plans[d] = [(s, 1 << s, s - rank,
+                                  [walk for walk in walks_of[s] if d >> walk[0] & 1])
+                                 for s in range(rank) if not d >> s & 1]
+        return plan
+
+    def _count(self) -> Counter:
+        """Descent mask -> number of elements of the sphere after the last one
+        built: :meth:`_extend`'s walks, reading the table and writing nothing."""
+        rank, plans, descents, table = self.rank, self._plans, self._descents, self._table
+        start, stop = self._starts[-2:]
+        counts = Counter()
+        walked = {}                   # frontier mask -> (bit, walks) of its walked ascents
+        for dw, n in Counter(islice(descents, start, stop)).items():
+            plan = plans.get(dw)
+            if plan is None:
+                plan = self._plan(dw)
+            for _, bit, _, walks in plan:
+                if walks:
+                    walked.setdefault(dw, []).append((bit, walks))
+                else:
+                    counts[bit] += n  # a free ascent: new, with descent set {s}
+        if not walked:
+            return counts
+        get = counts.get
+        for w, dw in enumerate(islice(descents, start, stop), start):
+            ascents = walked.get(dw)
+            if ascents is None:
+                continue
+            row = w * rank
+            for mask, walks in ascents:
+                for t, tbit, downs, ups in walks:
+                    x = table[row + t]
+                    for a in downs:
+                        if not descents[x] >> a & 1:
+                            break
+                        x = table[x * rank + a]
+                    else:
+                        for a in ups:
+                            x = table[x * rank + a]
+                        if x < w:
+                            break     # v = w*s is the earlier x's child
+                        mask |= tbit
+                else:
+                    counts[mask] = get(mask, 0) + 1
+        return counts
+
+    def _sphere_counts(self, k: int) -> Counter:
+        """Descent mask -> number of elements of length k, with the spheres
+        below k built and sphere k counted unless it is built already."""
+        if k < 0:
+            raise ValueError("length must be nonnegative")
+        starts = self._starts
+        while len(starts) <= k and not self._exhausted:
+            self._extend()
+        if k + 1 < len(starts):
+            return Counter(islice(self._descents, starts[k], starts[k + 1]))
+        if self._exhausted:
+            return Counter()
+        if self._counted is None:
+            self._counted = self._count()
+        return self._counted
 
     # -- ids -------------------------------------------------------------------
 
@@ -217,17 +295,22 @@ class WordOracle:
 
     def descent_counts(self, k: int) -> Counter:
         """Descent mask -> number of elements of length k with that mask."""
-        ids = self.sphere_ids(k)
-        return Counter(islice(self._descents, ids.start, ids.stop))
+        return self._sphere_counts(k).copy()
 
     def ball_masks(self, horizon: int) -> set:
         """The distinct descent masks of the elements of length at most ``horizon``."""
-        return set(islice(self._descents, sum(self.sphere_sizes(horizon))))
+        if horizon < 0:
+            raise ValueError("horizon must be nonnegative")
+        last = self._sphere_counts(horizon)
+        starts = self._starts
+        inner = starts[min(horizon, len(starts) - 1)]    # the ids of length below the horizon
+        return set(islice(self._descents, inner)).union(last)
 
     def sphere_sizes(self, horizon: int) -> list:
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        return [len(self.sphere_ids(k)) for k in range(horizon + 1)]
+        last = sum(self._sphere_counts(horizon).values())
+        return [len(self.sphere_ids(k)) for k in range(horizon)] + [last]
 
     def subgroup_elements(self, subset: Mask) -> list:
         """Canonical words (in parent letters) of the parabolic subgroup on ``subset``.
@@ -251,6 +334,15 @@ class WordOracle:
             layer = sorted(new)      # ids are in ShortLex order
             members.extend(self.word(i) for i in layer)
         return members
+
+
+def _built_sizes(oracle: WordOracle, horizon: int) -> list:
+    """Sphere sizes up to the horizon with the whole ball built, for callers
+    that read its table: the outermost sphere is then not counted first."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    oracle.sphere_ids(horizon)
+    return oracle.sphere_sizes(horizon)
 
 
 def _checked_oracle(matrix: CoxeterMatrix, oracle: WordOracle = None) -> WordOracle:
@@ -295,7 +387,7 @@ def coset_components(oracle: WordOracle, horizon: int, subset: Mask) -> list:
     """
     if subset & ~oracle.matrix.full_mask:
         raise ValueError("subset is not within the generator set")
-    sizes = oracle.sphere_sizes(horizon)
+    sizes = _built_sizes(oracle, horizon)
     size = sum(sizes)
     inner = size - sizes[-1]          # the ids of length below the horizon
     gens = bits_of(subset)
@@ -336,7 +428,7 @@ def coset_decomposition_check(matrix: CoxeterMatrix, subset: Mask, horizon: int,
     oracle = _checked_oracle(matrix, oracle)
     members = oracle.subgroup_elements(subset)
     # the ball's ids are 0, 1, ... in ShortLex order, so by length
-    lengths = [k for k, size in enumerate(oracle.sphere_sizes(horizon)) for _ in range(size)]
+    lengths = [k for k, size in enumerate(_built_sizes(oracle, horizon)) for _ in range(size)]
     groups = {}
     for i, cid in enumerate(coset_components(oracle, horizon, subset)):
         groups.setdefault(cid, []).append(i)
@@ -658,7 +750,7 @@ def cross_check_oracles(matrix: CoxeterMatrix, horizon: int,
     oracle = _checked_oracle(matrix, oracle)
     # with the ball built, every geometric parent (length below the horizon)
     # has its full row in the table, so the walk reads the table directly
-    sizes = oracle.sphere_sizes(horizon)
+    sizes = _built_sizes(oracle, horizon)
     rank, table, descents = oracle.rank, oracle._table, oracle._descents
     layers = GeometricOracle(matrix).layers(horizon)
     mismatches = []

@@ -162,24 +162,45 @@ def test_oracle_cross_check(capsys):
 
 
 def test_oracle_counts_non_spherical_descent_sets(capsys, monkeypatch):
-    # masks overwritten once the ball is built: on the free product of three
-    # Z/2 no two generators span a finite subgroup, and id 45 is the last of
-    # the length-4 ball, so the check fails with three violations
-    sphere_sizes = WordOracle.sphere_sizes
+    # masks overwritten once the ball is in place: on the free product of
+    # three Z/2 no two generators span a finite subgroup, so the check fails
+    # with three violations, ids 1 and 7 of the built spheres and one element
+    # of the counted length-4 sphere (id 45, descent set {1}, once built)
+    sphere_sizes, count = WordOracle.sphere_sizes, WordOracle._count
 
     def corrupted(self, horizon):
         sizes = sphere_sizes(self, horizon)
-        for i, mask in ((1, 0b111), (7, 0b111), (45, 0b011)):
+        for i, mask in ((1, 0b111), (7, 0b111)):
             self._descents[i] = mask
         return sizes
 
+    def corrupted_count(self):
+        counts = count(self)
+        counts[0b010] -= 1
+        counts[0b011] += 1
+        return counts
+
     monkeypatch.setattr(WordOracle, "sphere_sizes", corrupted)
+    monkeypatch.setattr(WordOracle, "_count", corrupted_count)
     code, doc, _ = run_json(capsys, "oracle", f"{SYS}/free-product-3.cox", "--max-length", "4")
     assert code == 1
     assert doc["data"]["sphere_sizes"] == [1, 3, 6, 12, 24]
     check, = [c for c in doc["checks"] if c["name"] == "descent sets are spherical"]
     assert check["status"] == "fail"
     assert check["detail"] == "3 violations"
+
+
+@pytest.mark.parametrize("path", sorted(Path(SYS).glob("*.cox")), ids=lambda p: p.stem)
+def test_oracle_counted_and_built_balls_report_the_same(capsys, path):
+    # without --cross-check the outermost sphere is counted; with it the
+    # whole ball is built first
+    for horizon in range(11):
+        argv = ["oracle", str(path), "--max-length", str(horizon)]
+        _, counted, _ = run_json(capsys, *argv)
+        _, built, _ = run_json(capsys, *argv, "--cross-check")
+        assert counted["data"]["sphere_sizes"] == built["data"]["sphere_sizes"], horizon
+        assert built["data"]["cross_check"]["numeric_sizes"] == built["data"]["sphere_sizes"]
+        assert counted["checks"] == built["checks"][:1], horizon
 
 
 @pytest.mark.parametrize("name,kind,horizon", [

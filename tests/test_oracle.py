@@ -3,6 +3,7 @@ the exact Tits-cone oracle with its arithmetic."""
 
 import ast
 import itertools
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -368,10 +369,11 @@ def test_word_oracle_memory_per_element():
     tracemalloc.start()
     try:
         o = WordOracle(get("free-product-3").matrix)
-        elements = sum(o.sphere_sizes(14))
+        o.sphere_ids(14)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    elements = len(o._descents)
     assert elements == 3 * 2 ** 14 - 2
     assert peak <= 128 * elements, peak / elements
 
@@ -399,6 +401,7 @@ def test_id_accessors():
 def test_id_accessors_reject_ids_outside_the_table():
     # a negative id once indexed from the end: word(-1) read (0, 1, 0)
     o = WordOracle(get("a2").matrix)
+    o.sphere_ids(3)
     assert o.sphere_sizes(3) == [1, 2, 2, 1]
     assert o.word(5) == (0, 1, 0) and o.descents(5) == 0b11
     for i in (-1, -6, 6, 100):
@@ -422,7 +425,7 @@ def test_id_accessors_reject_ids_outside_the_table():
 def _arrays(oracle, horizon):
     """The word oracle's three arrays, with the ball built to the horizon,
     and the last letter of every canonical word (0 for e), from ``word``."""
-    oracle.sphere_sizes(horizon)
+    oracle.sphere_ids(horizon)
     last = bytes(oracle.word(i)[-1] if i else 0 for i in range(len(oracle._descents)))
     return last, oracle._descents, oracle._table, oracle._starts
 
@@ -481,7 +484,7 @@ def test_free_ascent_needs_the_commuting_partners():
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
 def test_one_plan_per_descent_mask_met(entry):
     oracle = WordOracle(entry.matrix)
-    oracle.sphere_sizes(10)
+    oracle.sphere_ids(10)
     extended = oracle._descents[:oracle._starts[-2]]   # the ids whose ascents were taken
     assert set(oracle._plans) == set(extended)
     rank, orders = oracle.rank, entry.matrix.orders
@@ -491,6 +494,103 @@ def test_one_plan_per_descent_mask_met(entry):
         for s, _, _, walks in plan:
             assert [t for t, *_ in walks] == [t for t in range(rank) if d >> t & 1
                                               and orders[s][t] is not INFINITY]
+
+
+# ---------------------------------------------------------------------------
+# the outermost sphere counted, not built
+# ---------------------------------------------------------------------------
+
+def _assert_counted_spheres_match_built_ones(matrix, horizon):
+    # asked for each k in turn, one oracle builds the spheres below k and
+    # counts sphere k; a second one builds the whole ball first
+    counted, built = WordOracle(matrix), WordOracle(matrix)
+    built.sphere_ids(horizon)
+    for k in range(horizon + 1):
+        sizes, counts, masks = (counted.sphere_sizes(k), counted.descent_counts(k),
+                                counted.ball_masks(k))
+        # sphere k > 0 was counted, unless an empty sphere below it ended the group
+        assert len(counted._starts) == max(k + 1, 2) or counted._exhausted, k
+        assert sizes == built.sphere_sizes(k), k
+        assert counts == built.descent_counts(k), k
+        assert masks == built.ball_masks(k), k
+
+
+def _longest(matrix):
+    return GrowthTable(matrix).infos[matrix.full_mask].longest_length
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
+def test_counted_spheres_match_built_ones_on_catalog_systems(entry):
+    _assert_counted_spheres_match_built_ones(entry.matrix, 10)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_counted_spheres_match_built_ones_on_shipped_systems(path):
+    _assert_counted_spheres_match_built_ones(parse_coxeter_file(path.read_text()), 10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_up_to_rank_5())
+def test_counted_spheres_match_built_ones_on_random_systems(matrix):
+    # a finite group is also asked for the two spheres past its end
+    longest = _longest(matrix)
+    _assert_counted_spheres_match_built_ones(
+        matrix, 7 if longest is None else max(7, longest + 2))
+
+
+def test_count_needs_the_commuting_partners():
+    # the spheres below 10 built, then the m = 2 walks dropped: the count of
+    # sphere 10 takes an ascent s of w with a commuting descent t as free
+    matrix = get("racg-4cycle").matrix
+    ref = _WordTupleOracle(matrix)
+    ref.sphere(10)
+    expected = Counter(ref._descents[ref._starts[10]:ref._starts[11]])
+    oracle, broken = WordOracle(matrix), WordOracle(matrix)
+    assert oracle.descent_counts(10) == expected
+    broken.sphere_ids(9)
+    broken._walks = [[walk for walk in walks if matrix.orders[s][walk[0]] != 2]
+                     for s, walks in enumerate(broken._walks)]
+    broken._plans.clear()
+    assert broken.descent_counts(10) != expected
+
+
+def test_count_is_kept_until_the_oracle_grows():
+    o = WordOracle(get("tilde-a2").matrix)
+    assert o.sphere_sizes(4) == [1, 3, 6, 9, 12]
+    counted = o._counted
+    assert o.ball_masks(4) and o._counted is counted
+    # the copy a caller gets cannot change the kept count
+    o.descent_counts(4).clear()
+    assert sum(o.descent_counts(4).values()) == 12
+    o.sphere_ids(4)
+    assert o._counted is None
+    assert o.sphere_sizes(4) == [1, 3, 6, 9, 12] and o._counted is None
+
+
+@pytest.mark.parametrize("entry", [e for e in ENTRIES if _longest(e.matrix) is not None],
+                         ids=lambda e: e.name)
+def test_ball_masks_past_a_finite_groups_end(entry):
+    # the cost follows the ball, not the horizon: 10**12 lengths are never listed
+    longest = _longest(entry.matrix)
+    o = WordOracle(entry.matrix)
+    start = time.perf_counter()
+    assert o.ball_masks(10 ** 12) == WordOracle(entry.matrix).ball_masks(longest)
+    assert o.descent_counts(10 ** 12) == Counter()
+    assert time.perf_counter() - start < 1
+
+
+def test_counted_sphere_memory_per_element():
+    # half the ball of the free product is its outermost sphere, which is
+    # counted: no table row is written for it
+    tracemalloc.start()
+    try:
+        o = WordOracle(get("free-product-3").matrix)
+        elements = sum(o.sphere_sizes(14))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elements == 3 * 2 ** 14 - 2
+    assert peak <= 48 * elements, peak / elements
 
 
 # ---------------------------------------------------------------------------
