@@ -2,9 +2,9 @@
 
 Subcommands: growth, verify, chi, census, oracle, catalog.  Every subcommand
 accepts ``--json`` for a structured report (schema in :data:`REPORT_SCHEMA`).
-Exit codes: 0 all checks pass, 1 computational failure, a failed check or a
-reader that closed the pipe early, 2 usage error.  Output is deterministic
-except for the timestamp field.
+Exit codes: 0 all checks pass, 1 computational failure (running out of memory
+included), a failed check or a reader that closed the pipe early, 2 usage
+error.  Output is deterministic except for the timestamp field.
 
 Each subcommand's options are spelled once, in :data:`SUBCOMMANDS`, and two
 parsers read that table.  A plain command line skips argparse: the
@@ -12,17 +12,18 @@ subcommand first, then its file and options, each option by its full name,
 at most once and with its value as the next argument, no file or value that
 is empty or starts with ``-``, ASCII digits for a number, an exact choice
 and every required option given.  Every other command line goes to argparse,
-so help, the version line and every usage error are argparse's, unchanged.
+so help, the version line and every usage error are argparse's, unchanged;
+``argparse`` is imported only for the command lines it parses.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from datetime import datetime, timezone
+import time
 from itertools import islice
+from types import SimpleNamespace
 
 from . import __version__
 from .catalog import ENTRIES
@@ -283,6 +284,8 @@ SUBCOMMANDS = {
 
 def _build_parser():
     """The command-line parser."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="coxgrowth",
         description="Exact growth series of Coxeter groups, with verification tooling.")
@@ -297,8 +300,9 @@ def _build_parser():
 
 
 def _fast_parse(argv):
-    """``_build_parser().parse_args(argv)`` for a plain command line (see the
-    module docstring), built without argparse; ``None`` for any other argv."""
+    """``_build_parser().parse_args(argv)``'s attributes for a plain command
+    line (see the module docstring), in a ``SimpleNamespace`` built without
+    argparse; ``None`` for any other argv."""
     if not argv or argv[0] not in SUBCOMMANDS:
         return None
     func, _, arguments = SUBCOMMANDS[argv[0]]
@@ -340,7 +344,7 @@ def _fast_parse(argv):
         values[dest] = value
     if names or any(kwargs.get("required") for _, _, kwargs in options.values()):
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
@@ -355,13 +359,16 @@ def main(argv=None) -> int:
     except (ValueError, InvariantViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: out of memory while running '{args.command}'", file=sys.stderr)
+        return 1
     exit_status = 0 if all(c["status"] != "fail" for c in checks) else 1
     try:
         if args.json:
             doc = {
                 "command": args.command,
                 "system": system,
-                "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
                 "checks": checks,
                 "data": data,
                 "exit_status": exit_status,

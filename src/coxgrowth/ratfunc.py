@@ -16,13 +16,26 @@ when one side is a product of known irreducible factors, such as the
 cyclotomic common denominator of a growth table.  Everything runs on
 Python's unbounded ints, series extraction included: its recurrence
 divides by the denominator's constant term in Z and stops at the first
-coefficient that is not an integer.
+coefficient that is not an integer.  ``Fraction`` is used only for
+evaluation, which takes an int or a Fraction and raises ``TypeError`` on a
+float, and in the message about a series coefficient that is not an
+integer; it is imported only there.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+
+
+def _exact_point(x):
+    """Raise ``TypeError`` unless x is an int or a Fraction: no float, or
+    other inexact number, may feed an exact evaluation."""
+    if not isinstance(x, int):
+        from fractions import Fraction
+
+        if not isinstance(x, Fraction):
+            raise TypeError(f"exact evaluation needs an int or a Fraction, "
+                            f"not {type(x).__name__}")
 
 
 class Poly:
@@ -110,6 +123,7 @@ class Poly:
 
     def __call__(self, x):
         """Evaluate at x (int or Fraction); exact."""
+        _exact_point(x)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -312,7 +326,9 @@ class RatFunc:
         return RatFunc(self.den, self.num)
 
     def __call__(self, x):
-        """Exact evaluation at x (Fraction-friendly); raises on a pole."""
+        """Exact evaluation at x (int or Fraction); raises on a pole."""
+        from fractions import Fraction
+
         den = self.den(x)
         if den == 0:
             raise ZeroDivisionError(f"pole at {x}")
@@ -357,6 +373,8 @@ def series_expand(r: RatFunc, n: int) -> list:
             c -= den[j] * out[k - j]
         q, rem = divmod(c, d0)
         if rem:
+            from fractions import Fraction
+
             raise ValueError(f"series coefficient of t^{k} is not an integer: "
                              f"{Fraction(c, d0)}")
         out.append(q)

@@ -1,12 +1,15 @@
 """CLI behaviour: output text, exit codes, and the JSON report schema."""
 
 import argparse
+import calendar
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -399,6 +402,14 @@ def test_json_deterministic_modulo_timestamp(capsys):
     assert doc1 == doc2
 
 
+def test_json_timestamp_is_utc_now_to_the_second(capsys):
+    _, doc, _ = run_json(capsys, "verify", f"{SYS}/a2.cox")
+    stamp = doc["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+    assert abs(calendar.timegm(time.strptime(stamp, "%Y-%m-%dT%H:%M:%S+00:00"))
+               - time.time()) <= 5
+
+
 def test_schema_is_draft7_valid():
     jsonschema.Draft7Validator.check_schema(REPORT_SCHEMA)
 
@@ -411,40 +422,77 @@ def _subprocess_env():
     return env
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # no command needs numpy: not the import, and not the exact --cross-check
-    env = _subprocess_env()
-    argv = ["oracle", f"{SYS}/b3.cox", "--max-length", "6", "--cross-check"]
-    code = ("import contextlib, io, sys, coxgrowth.cli\n"
-            "print('numpy' in sys.modules)\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as report:\n"
-            f"    rc = coxgrowth.cli.main({argv!r})\n"
-            "print('numpy' in sys.modules, rc, report.getvalue().splitlines()[-1])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+# modules that no well-formed command uses; numpy is no runtime dependency
+_UNUSED_MODULES = ("fractions", "decimal", "argparse", "datetime", "numpy")
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["verify", f"{SYS}/a2.cox", "--json"], 0, []),
+    (["growth", f"{SYS}/tilde-a2.cox", "--series", "6"], 0, []),
+    (["chi", f"{SYS}/tilde-a2.cox", "--json"], 0, []),
+    (["census", f"{SYS}/tilde-a2.cox", "--complex", "davis", "--max-length", "4", "--json"], 0, []),
+    (["oracle", f"{SYS}/b3.cox", "--max-length", "6", "--cross-check"], 0, []),
+    (["catalog", "--self-test", "--json"], 0, []),
+    # an abbreviated option: argparse parses the line and exits with a usage error
+    (["verify", f"{SYS}/a2.cox", "--ident", "9"], 2, ["argparse"]),
+], ids=["verify", "growth", "chi", "census", "oracle", "catalog", "malformed"])
+def test_a_command_loads_only_what_it_runs(argv, code, loaded):
+    # a fresh interpreter, so that nothing this test process imported counts;
+    # a module loaded before the import (a site hook, say) is not counted either
+    script = ("import contextlib, io, sys\n"
+              f"unused = [m for m in {_UNUSED_MODULES!r} if m not in sys.modules]\n"
+              "import coxgrowth.cli\n"
+              "print([m for m in unused if m in sys.modules])\n"
+              "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+              "        contextlib.redirect_stderr(io.StringIO()):\n"
+              "    try:\n"
+              f"        rc = coxgrowth.cli.main({argv!r})\n"
+              "    except SystemExit as exc:\n"
+              "        rc = exc.code\n"
+              "print([m for m in unused if m in sys.modules], rc)")
+    out = subprocess.run([sys.executable, "-c", script], env=_subprocess_env(), check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.splitlines() == ["False", "False 0 result: PASS"]
+    assert out.splitlines() == ["[]", f"{loaded!r} {code}"]
+
+
+def _one_gib_address_space():
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return cap
 
 
 def test_davis_census_memory_is_bounded_by_the_answer(tmp_path):
     # the 10-cycle of 3s has 1023 spherical subsets and 204 495 125 chains of
     # them: the census counts the chains, so it fits in a 1 GiB address space
-    resource = pytest.importorskip("resource")
+    cap = _one_gib_address_space()
     system = tmp_path / "cycle10.cox"
     system.write_text(serialize_coxeter(coxeter_matrix(
         10, {(i, (i + 1) % 10): 3 for i in range(10)})), encoding="utf-8")
-    env = _subprocess_env()
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     done = subprocess.run([sys.executable, "-m", "coxgrowth", "census", str(system),
                            "--complex", "davis", "--max-length", "3", "--json"],
-                          env=env, preexec_fn=cap, capture_output=True, text=True,
+                          env=_subprocess_env(), preexec_fn=cap, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr[-2000:]
     doc = json.loads(done.stdout)
     assert len(doc["data"]["by_type"]) == 1023
     assert all(row["matches"] for row in doc["data"]["by_type"])
+
+
+def test_out_of_memory_is_an_error_not_a_traceback(tmp_path):
+    # the word oracle spells each rank-2 walk of an order as a tuple: for an
+    # order of 10^12 that allocation is refused at once under the 1 GiB cap
+    cap = _one_gib_address_space()
+    system = tmp_path / "huge-order.cox"
+    system.write_text("rank 2\nm 1 2 1000000000000\n", encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "coxgrowth", "oracle", str(system),
+                           "--max-length", "3", "--json"],
+                          env=_subprocess_env(), preexec_fn=cap, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: out of memory while running 'oracle'\n"
 
 
 def test_json_report_of_many_batches_is_json_dumps(capsys, tmp_path):

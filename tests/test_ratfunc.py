@@ -1,6 +1,7 @@
 """Exact polynomial / rational-function arithmetic over the integers."""
 
 import pytest
+from decimal import Decimal
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
@@ -36,7 +37,7 @@ def test_poly_arithmetic():
 def test_poly_evaluation():
     p = P(1, 2, 3)  # 1 + 2t + 3t^2
     assert p(0) == 1
-    assert p(2) == 17
+    assert p(2) == 17 and type(p(2)) is int
     assert p(Fraction(1, 2)) == Fraction(11, 4)
 
 
@@ -116,8 +117,18 @@ def test_ratfunc_arithmetic():
 def test_ratfunc_reciprocal_and_call():
     r = RatFunc(P(1, 1), P(1, -1))
     assert r.reciprocal() == RatFunc(P(1, -1), P(1, 1))
-    assert r(Fraction(1, 2)) == 3
-    assert r(0) == 1
+    assert r(Fraction(1, 2)) == 3 and type(r(Fraction(1, 2))) is Fraction
+    assert r(0) == 1 and type(r(0)) is Fraction
+
+
+@pytest.mark.parametrize("x", [0.5, 2.0, float("inf"), complex(1, 0), Decimal("0.5")],
+                         ids=repr)
+def test_exact_evaluation_rejects_inexact_points(x):
+    # no float may feed an exact result, not even a whole-number one
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        P(1, 1)(x)
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        RatFunc(P(1, 1), P(1, -1))(x)
 
 
 def rat_strategy():
