@@ -18,7 +18,7 @@ The length value of a record is length(shortest representative) for coxeter
 and davis, and length(shortest) + longest_length(T) for tits (the longest
 element of the coset).  ``euler_series`` collects sum (-1)^dim t^length over
 all records, and ``census_by_type`` sets each type's slice of it next to its
-exact closed form from the growth table.
+exact closed form, read from the growth table's ``quotient`` W / W_T.
 
 A coset w * W_T is recorded at its shortest element u, and u is shortest
 exactly when its right descent set misses T (Bjorner-Brenti, *Combinatorics
@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 
 from .classify import classify, classify_all
 from .coxeter import CoxeterMatrix, Mask, format_subset, superset_sums
-from .growth import GrowthTable, _cyclotomic_factors, _nerve_coefficients, _sign
+from .growth import GrowthTable, _nerve_coefficients, _sign
 from .oracle import WordOracle, _built_sizes, _checked_oracle, coset_components
-from .ratfunc import Poly, RatFunc, cancel_factors, series_expand
+from .ratfunc import Poly, RatFunc, series_expand
 
 KINDS = ("coxeter", "davis", "tits")
 LEMMA_KINDS = ("coxeter", "davis")    # the chamber models; the lemma checks take these
@@ -193,42 +193,35 @@ def census_by_type(matrix: CoxeterMatrix, kind: str, horizon: int = None,
         davis:    (-1)^{|T|} chi_T * W(t) / W_T(t)
         tits:     (-1)^{|S|-|T|-1} * W(t) / W_T(1/t)
 
-    Each is coeff * t^shift * W / W_T, read from the table, not from
-    :func:`_weights`: the shift is 0, or m_T for tits, since W_T is a
-    palindromic polynomial of degree m_T.  So both sides of the check are
-    :func:`_weighted` series: of the type's coset counts, and of W / W_T,
-    expanded once per distinct W_T; the types of one (W_T, coeff) share one
-    closed form and one closed series.
+    Each is coeff * t^shift * W / W_T, with W / W_T the table's
+    ``quotient(T)`` and the shift read from the table, not from
+    :func:`_weights`: 0, or the degree of ``series(T)`` for tits, since W_T
+    is a palindromic polynomial of degree m_T.  So both sides of the check
+    are :func:`_weighted` series: of the type's coset counts, and of
+    W / W_T, expanded once per distinct W_T; the types of one (W_T, coeff)
+    share one closed form and one closed series.
     """
     horizon, oracle = _resolve(matrix, kind, horizon, oracle)
     table = GrowthTable(matrix)
     weights = _weights(matrix, kind, (table.infos, table.spherical))
     counts = _coset_counts(matrix, horizon, oracle, weights)
     chis = _nerve_coefficients(matrix.rank, table.spherical) if kind == "davis" else None
-    w = table.series()
-    # quotients: W_T -> the reduced W / W_T and its expansion, whose denominator
-    # is nonzero at t = 0 (W / W_T is a power series), so scaling it needs no
-    # second gcd; closed_forms: (W_T, coeff) -> the closed form and its series
-    quotients, closed_forms, result = {}, {}, []
+    # expansions: W / W_T -> its series to the horizon; W / W_T is a power
+    # series, its denominator nonzero at t = 0, so scaling it needs no second
+    # gcd; closed_forms: (W / W_T, coeff) -> the closed form and its series
+    expansions, closed_forms, result = {}, {}, []
     for t, (shift, signed, count) in weights.items():
-        wt, size = table.series(t), t.bit_count()
+        quotient, size = table.quotient(t), t.bit_count()
         coeff = chis[t] * _sign(size) if kind == "davis" else _sign(matrix.rank - size - 1)
-        if (wt, coeff) not in closed_forms:
-            if wt not in quotients:
-                info = table.infos[t]
-                if info.finite:       # W_T = prod_k Phi_k^{#{i : k | d_i}} (Solomon): no gcd
-                    num, rest = cancel_factors(w.num, _cyclotomic_factors((info.degrees,)))
-                    base = RatFunc.from_coprime(num, w.den * rest)
-                else:
-                    base = RatFunc(w.num * wt.den, w.den * wt.num)
-                quotients[wt] = base, series_expand(base, horizon)
-            base, expansion = quotients[wt]
-            closed_shift = wt.num.degree if kind == "tits" else 0
-            num = Poly([coeff * c for c in base.num.coeffs]).shifted(closed_shift)
-            closed_forms[wt, coeff] = (RatFunc.from_coprime(num, base.den),
-                                       tuple(_weighted(expansion, closed_shift, coeff, horizon)))
+        if (quotient, coeff) not in closed_forms:
+            if quotient not in expansions:
+                expansions[quotient] = series_expand(quotient, horizon)
+            closed_shift = table.series(t).num.degree if kind == "tits" else 0
+            num = Poly([coeff * c for c in quotient.num.coeffs]).shifted(closed_shift)
+            closed = _weighted(expansions[quotient], closed_shift, coeff, horizon)
+            closed_forms[quotient, coeff] = RatFunc.from_coprime(num, quotient.den), tuple(closed)
         result.append(TypeCensus(kind, t, tuple(_weighted(counts[t], shift, signed, horizon)),
-                                 *closed_forms[wt, coeff],
+                                 *closed_forms[quotient, coeff],
                                  sum(_weighted(counts[t], shift, count, horizon))))
     return result
 

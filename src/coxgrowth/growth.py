@@ -44,23 +44,28 @@ read from a digit that may have overflowed.  The identity sums add packed
 terms in runs whose bounds fit and decode each run.
 
 One division per distinct numerator.  Subsets of the same finite type have
-the same acc, so a finite entry's decode, its two exact divisions and its
-re-packing are memoised on (acc, m, (-1)^{|T|}) in a dict the table owns:
-the same input gives the same verdict, and the degree-m test still runs on
-every entry.  A_16 needs 296 such divisions for its 65 536 entries.
+the same acc, so a finite entry's decode, its two exact divisions, its
+re-packing and its ``RatFunc`` W_T are memoised on (acc, m, (-1)^{|T|}) for
+the length of the build: the same input gives the same verdict, the
+degree-m test still runs on every entry, and every subset of one finite
+series holds the one W_T object.  A_16 needs 296 such divisions for its
+65 536 entries, and holds 297 W_T objects with the empty one.
 
 Canonical forms without a gcd.  gcd(p, L) = prod_k Phi_k^{min(e_k, v_k)},
 v_k the multiplicity of Phi_k in p, so trial division by L's own factors
 cancels it (:func:`~coxgrowth.ratfunc.cancel_factors`), and the coprime
 pair needs only content and sign normalised.  ``series(T)`` of an infinite
 T and the left side of every identity are reduced this way; ``series(T)``
-canonicalises one entry, once, when it is asked for.
+canonicalises one infinite entry, once, when it is asked for.
 
-The table is the one owner of everything derived for its system: it keeps
-the ``(infos, spherical)`` classification that built it (one
-:func:`~coxgrowth.classify.classify_all` pass), and nothing is cached across
-tables.  Keep the object to reuse it; :func:`growth_series` builds one for a
-single answer.
+The table is the one owner of every subgroup series: W_T is ``series(T)``
+and W / W_T is ``quotient(T)``, one object per distinct W_T.  A finite W_T
+is prod_k Phi_k^{#{i : k | d_i}} (Solomon), so its quotient cancels by
+trial division of W's numerator by those factors; an infinite W_T takes a
+gcd.  The table also keeps the ``(infos, spherical)`` classification that
+built it (one :func:`~coxgrowth.classify.classify_all` pass), and nothing
+is cached across tables.  Keep the object to reuse it;
+:func:`growth_series` builds one for a single answer.
 
 ``verify_identity`` re-assembles both sides of four classical identities
 from a finished table (S below is the full generator set, Sph the family
@@ -187,8 +192,9 @@ class GrowthTable:
 
     ``denominator`` is the common denominator L; entry T is held as the
     signed numerator (-1)^{|T|} N_T of 1/W_T = N_T / L, packed into one int,
-    together with a bound on its coefficients.  ``infos`` and ``spherical``
-    are the system's classification, as :func:`classify_all` returns it.
+    together with a bound on its coefficients.  ``series(T)`` and
+    ``quotient(T)`` give W_T and W / W_T.  ``infos`` and ``spherical`` are
+    the system's classification, as :func:`classify_all` returns it.
     """
 
     def __init__(self, matrix: CoxeterMatrix):
@@ -209,11 +215,12 @@ class GrowthTable:
         size = len(self.infos)
         self._signed = [None] * size           # packed signed numerators
         self._bounds = [None] * size           # a bound on each one's coefficients
-        self._polynomials = {0: P_ONE}         # W_T of every finite T
-        self._series = {}
-        self._checked = {}                     # (acc, m, sign) -> finite entry
+        self._series = {0: RatFunc.from_coprime(P_ONE, P_ONE)}  # T -> W_T, shared if finite
+        self._quotients = {}                   # W_T -> W / W_T
+        self._checked = {}                     # (acc, m, sign) -> finite entry, for the build only
         zeros = [0] * size
         self._block(0, self.matrix.rank, zeros, zeros)
+        del self._checked
 
     def _block(self, base: Mask, k: int, incoming: list, bounds: list) -> tuple:
         """Solve the masks base | x, x < 2^k, and return their subset sums and bounds.
@@ -255,20 +262,21 @@ class GrowthTable:
         if key not in self._checked:
             self._checked[key] = self._divide(acc, m, sign, bound)
         signed, entry_bound, series = self._checked[key]
-        if series is None or series.degree != m:
+        if series is None or series.num.degree != m:
             raise InvariantViolation(
                 f"finite subset {subset:#x} did not produce a degree-{m} polynomial")
-        self._polynomials[subset] = series
+        self._series[subset] = series
         self._signed[subset], self._bounds[subset] = signed, entry_bound
 
     def _divide(self, acc: int, m: int, sign: int, bound: int) -> tuple:
         """(signed numerator, its bound, W_T) of a finite entry with sum ``acc``,
-        or Nones when N_T = acc / (t^m - sign) or W_T = L / N_T is not exact."""
+        W_T the one ``RatFunc`` every subset of this series shares, or Nones
+        when N_T = acc / (t^m - sign) or W_T = L / N_T is not exact."""
         numerator = _divide_binomial(self._packing.unpack(acc, bound), m, sign)
         if numerator is None:
             return None, None, None
         try:
-            series = self.denominator.exact_div(Poly(numerator))
+            series = RatFunc.from_coprime(self.denominator.exact_div(Poly(numerator)), P_ONE)
         except ValueError:
             return None, None, None
         if sign < 0:
@@ -312,13 +320,27 @@ class GrowthTable:
             subset = self.matrix.full_mask
         if subset & ~self.matrix.full_mask:
             raise ValueError("subset is not within the generator set")
-        if subset not in self._series:
-            if subset in self._polynomials:
-                self._series[subset] = RatFunc.from_coprime(self._polynomials[subset], P_ONE)
-            else:
-                numerator, denominator = cancel_factors(self._numerator(subset), self._factors)
-                self._series[subset] = RatFunc.from_coprime(denominator, numerator)
+        if subset not in self._series:            # an infinite W_T, canonicalised once
+            numerator, denominator = cancel_factors(self._numerator(subset), self._factors)
+            self._series[subset] = RatFunc.from_coprime(denominator, numerator)
         return self._series[subset]
+
+    def quotient(self, subset: Mask) -> RatFunc:
+        """W / W_T, canonical, one object per distinct W_T.
+
+        A finite W_T = prod_k Phi_k^{#{i : k | d_i}} (Solomon) cancels
+        against W's numerator by trial division, with no gcd; an infinite
+        W_T takes one.
+        """
+        wt = self.series(subset)
+        if wt not in self._quotients:
+            w, info = self.series(), self.infos[subset]
+            if info.finite:
+                num, rest = cancel_factors(w.num, _cyclotomic_factors((info.degrees,)))
+                self._quotients[wt] = RatFunc.from_coprime(num, w.den * rest)
+            else:
+                self._quotients[wt] = RatFunc(w.num * wt.den, w.den * wt.num)
+        return self._quotients[wt]
 
 
 def growth_series(matrix: CoxeterMatrix, subset: Mask = None) -> RatFunc:

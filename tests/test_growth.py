@@ -395,14 +395,45 @@ def test_narrow_packing_gives_identical_tables_on_random_systems(matrix):
     _assert_width_independent(matrix)
 
 
-def test_one_division_per_distinct_numerator():
+def test_one_division_per_distinct_numerator(monkeypatch):
     # all 2^10 subsets of A_10 are finite, of far fewer types; one division
-    # (acc, then L / N_T) per type besides the empty one
+    # (acc, then L / N_T) per type besides the empty one, and one W_T object
+    # per type, which the build's division memo does not outlive
+    divisions = []
+    divide = GrowthTable._divide
+
+    def counting(self, *args):
+        divisions.append(args)
+        return divide(self, *args)
+
+    monkeypatch.setattr(GrowthTable, "_divide", counting)
     matrix = _path(10)
     table = GrowthTable(matrix)
     types = {info.degrees for info in classify_all(matrix)[0]}
-    assert len(table._polynomials) == 1 << 10
-    assert len(table._checked) == len(types) - 1 < 100
+    assert len(divisions) == len(types) - 1 == 55
+    assert len({id(table.series(t)) for t in range(1 << 10)}) == len(types) == 56
+    assert not hasattr(table, "_checked")
+
+
+def _assert_quotients(matrix):
+    """Every quotient is the gcd-reduced W / W_T, one object per distinct W_T."""
+    table = GrowthTable(matrix)
+    w, shared = table.series(), {}
+    for t in range(1 << matrix.rank):
+        wt, quotient = table.series(t), table.quotient(t)
+        assert quotient == RatFunc(w.num * wt.den, w.den * wt.num), (matrix, t)
+        assert shared.setdefault(wt, quotient) is quotient, (matrix, t)
+
+
+def test_quotients_match_gcd_reduction_on_catalog():
+    for matrix in [e.matrix for e in ENTRIES] + EXTRA_FINITE:
+        _assert_quotients(matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_up_to_rank_5())
+def test_quotients_match_gcd_reduction_on_random_systems(matrix):
+    _assert_quotients(matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def test_chi_classifies_once_not_per_subset(tmp_path, classify_all_calls, capsys
     system.write_text(serialize_coxeter(_path(8)), encoding="utf-8")
     assert main(["chi", str(system), "--json"]) == 0
     capsys.readouterr()
-    assert 1 <= len(classify_all_calls) <= 2
+    assert len(classify_all_calls) == 1
 
 
 def test_package_has_no_function_cache():
