@@ -34,9 +34,12 @@ records one by one in the tests.
 Each public call first checks its request (:func:`_resolve`, or
 :func:`_check_kind` where it takes no horizon), which classifies the whole
 generator set and no other subset, so a refused request costs no census
-work.  The census then classifies its system once (:func:`classify_all`;
-the census-by-type calls read the classification of the one growth table
-they build) and passes that down; nothing is cached between calls.
+work.  Whether the census then classifies every subset is decided by the
+weights alone (:func:`_weights`): kind "coxeter" classifies nothing more,
+and kinds "tits" and "davis" classify their system once
+(:func:`classify_all`), or, in :func:`census_by_type`, read the
+classification of the one growth table it builds.  Nothing is cached
+between calls.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def chain_sums(spherical: tuple) -> dict:
     return {t: (signed[t], counts[t]) for t in spherical}
 
 
-def _weights(matrix: CoxeterMatrix, kind: str, classified) -> dict:
+def _weights(matrix: CoxeterMatrix, kind: str, classified=None) -> dict:
     """What the records of each valid type T at one chamber u are worth, in
     valid-type order: T -> (shift, signed, count).
 
@@ -88,17 +91,20 @@ def _weights(matrix: CoxeterMatrix, kind: str, classified) -> dict:
         davis:    every spherical T         (0, e_T, c_T)
 
     with m_T the longest length of W_T and e_T, c_T from :func:`chain_sums`.
-    ``kind`` has passed :func:`_check_kind`; ``classified`` is the system's
-    ``classify_all(matrix)``, which kind "coxeter" does not read.
+    ``kind`` has passed :func:`_check_kind`.  This is the one place that
+    decides whether a census needs the system's classification: kind
+    "coxeter" reads none, and kinds "tits" and "davis" read ``classified``,
+    the system's ``classify_all(matrix)``, running it here when none is
+    given.
     """
     rank, full = matrix.rank, matrix.full_mask
     if kind == "coxeter":
         return {t: (0, _sign(rank - t.bit_count() - 1), 1) for t in range(full)}
+    infos, spherical = classified or classify_all(matrix)
     if kind == "tits":
-        infos, spherical = classified
         return {t: (infos[t].longest_length, _sign(rank - t.bit_count() - 1), 1)
                 for t in spherical if t != full}
-    return {t: (0, e, c) for t, (e, c) in chain_sums(classified[1]).items()}
+    return {t: (0, e, c) for t, (e, c) in chain_sums(spherical).items()}
 
 
 def _check_kind(matrix: CoxeterMatrix, kind: str, kinds: tuple = KINDS):
@@ -160,7 +166,7 @@ def euler_series(matrix: CoxeterMatrix, kind: str, horizon: int = None,
     """Coefficients of sum (-1)^dim t^length over the census, up to the horizon:
     the column sums of the types' slices."""
     horizon, oracle = _resolve(matrix, kind, horizon, oracle)
-    weights = _weights(matrix, kind, classify_all(matrix))
+    weights = _weights(matrix, kind)
     counts = _coset_counts(matrix, horizon, oracle, weights)
     slices = [_weighted(counts[t], shift, signed, horizon)
               for t, (shift, signed, _) in weights.items()]
@@ -262,7 +268,7 @@ def check_face_length_drop(matrix: CoxeterMatrix, kind: str, horizon: int = None
 
     report = FaceLengthReport(kind=kind, horizon=horizon,
                               chambers_checked=len(lengths), simplices_checked=0)
-    for t, (_, _, count) in _weights(matrix, kind, classify_all(matrix)).items():
+    for t, (_, _, count) in _weights(matrix, kind).items():
         face_lengths = []           # per piece, met first at its first id
         for i, (cid, length) in enumerate(zip(coset_components(oracle, horizon, t), lengths)):
             if cid == len(face_lengths):
@@ -292,10 +298,6 @@ def panel_union_euler(matrix: CoxeterMatrix, kind: str, subset: Mask) -> int:
     _check_kind(matrix, kind, LEMMA_KINDS)
     if subset & ~matrix.full_mask:
         raise ValueError("subset is not within the generator set")
-    classified = None               # the coxeter weights read no classification
-    if kind == "davis":
-        if not classify(matrix, subset).finite:
-            raise ValueError("davis panel unions need every subset of the set to be spherical")
-        classified = classify_all(matrix)
-    return sum(signed for t, (_, signed, _) in _weights(matrix, kind, classified).items()
-               if t & subset)
+    if kind == "davis" and not classify(matrix, subset).finite:
+        raise ValueError("davis panel unions need every subset of the set to be spherical")
+    return sum(signed for t, (_, signed, _) in _weights(matrix, kind).items() if t & subset)

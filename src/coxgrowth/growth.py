@@ -45,11 +45,13 @@ terms in runs whose bounds fit and decode each run.
 
 One division per distinct numerator.  Subsets of the same finite type have
 the same acc, so a finite entry's decode, its two exact divisions, its
-re-packing and its ``RatFunc`` W_T are memoised on (acc, m, (-1)^{|T|}) for
-the length of the build: the same input gives the same verdict, the
-degree-m test still runs on every entry, and every subset of one finite
-series holds the one W_T object.  A_16 needs 296 such divisions for its
-65 536 entries, and holds 297 W_T objects with the empty one.
+degree-m test, its re-packing and its ``RatFunc`` W_T are memoised on
+(acc, m, (-1)^{|T|}) for the length of the build.  The same input gives the
+same verdict, so each verdict is reached once per distinct key: a failing
+one raises at the first subset that meets it, and the memo holds only
+entries that passed.  Every subset of one finite series holds the one W_T
+object.  A_16 needs 296 such divisions for its 65 536 entries, and holds
+297 W_T objects with the empty one.
 
 Canonical forms without a gcd.  gcd(p, L) = prod_k Phi_k^{min(e_k, v_k)},
 v_k the multiplicity of Phi_k in p, so trial division by L's own factors
@@ -61,10 +63,12 @@ canonicalises one infinite entry, once, when it is asked for.
 The table is the one owner of every subgroup series: W_T is ``series(T)``
 and W / W_T is ``quotient(T)``, one object per distinct W_T.  A finite W_T
 is prod_k Phi_k^{#{i : k | d_i}} (Solomon), so its quotient cancels by
-trial division of W's numerator by those factors; an infinite W_T takes a
-gcd.  The table also keeps the ``(infos, spherical)`` classification that
-built it (one :func:`~coxgrowth.classify.classify_all` pass), and nothing
-is cached across tables.  Keep the object to reuse it;
+trial division of W's numerator by the table's own Phi_k, the factors of L
+keyed by k, with those multiplicities: no cyclotomic polynomial is built
+after the denominator.  An infinite W_T takes a gcd.  The table also keeps
+the ``(infos, spherical)`` classification that built it (one
+:func:`~coxgrowth.classify.classify_all` pass), and nothing is cached
+across tables.  Keep the object to reuse it;
 :func:`growth_series` builds one for a single answer.
 
 ``verify_identity`` re-assembles both sides of four classical identities
@@ -110,34 +114,40 @@ def _sign(k: int) -> int:
     return -1 if k & 1 else 1
 
 
-def _cyclotomic_factors(degree_tuples) -> list:
-    """The factors (Phi_k, e_k) of L, k ascending, with
+def _multiplicities(degrees) -> dict:
+    """k -> #{degrees divisible by k}, k >= 2: the multiplicity of Phi_k in
+    prod_i [d_i]_t (Solomon)."""
+    counts = {}
+    for d in degrees:
+        for k in range(2, d + 1):
+            if d % k == 0:
+                counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+def _cyclotomic_factors(degree_tuples) -> dict:
+    """The factors of L, k -> (Phi_k, e_k) with k ascending and
     e_k = max over the tuples of #{degrees divisible by k}."""
     exponents = {}
     for degrees in degree_tuples:
-        counts = {}
-        for d in degrees:
-            for k in range(2, d + 1):
-                if d % k == 0:
-                    counts[k] = counts.get(k, 0) + 1
-        for k, c in counts.items():
+        for k, c in _multiplicities(degrees).items():
             exponents[k] = max(exponents.get(k, 0), c)
     known = {}
-    return [(cyclotomic(k, known), exponents[k]) for k in sorted(exponents)]
+    return {k: (cyclotomic(k, known), exponents[k]) for k in sorted(exponents)}
 
 
 def _common_denominator(factors) -> Poly:
     """L = prod_k Phi_k^{e_k}, from the factors of :func:`_cyclotomic_factors`:
     the least common multiple of the prod_i [d_i]_t."""
     out = P_ONE
-    for phi, e in factors:
+    for phi, e in factors.values():
         for _ in range(e):
             out = out * phi
     return out
 
 
-def _divide_binomial(acc: list, m: int, sign: int):
-    """acc / (t^m - sign) as a coefficient list of the same length, or None if inexact."""
+def _divide_binomial(acc: list, m: int, sign: int) -> list:
+    """acc / (t^m - sign) as a coefficient list of the same length; ValueError if inexact."""
     rem = list(acc)
     quot = [0] * len(acc)
     for k in range(len(acc) - 1, m - 1, -1):
@@ -145,7 +155,9 @@ def _divide_binomial(acc: list, m: int, sign: int):
         if c:
             quot[k - m] = c
             rem[k - m] += sign * c
-    return None if any(rem[:m]) else quot
+    if any(rem[:m]):
+        raise ValueError("division by t^m - sign is not exact")
+    return quot
 
 
 class _Packing:
@@ -260,25 +272,22 @@ class GrowthTable:
         sign = _sign(subset.bit_count())
         key = (acc, m, sign)
         if key not in self._checked:
-            self._checked[key] = self._divide(acc, m, sign, bound)
-        signed, entry_bound, series = self._checked[key]
+            self._checked[key] = self._divide(acc, m, sign, bound, subset)
+        self._signed[subset], self._bounds[subset], self._series[subset] = self._checked[key]
+
+    def _divide(self, acc: int, m: int, sign: int, bound: int, subset: Mask) -> tuple:
+        """(signed numerator, its bound, W_T) of a finite entry with sum ``acc``,
+        first met at ``subset``, W_T the one ``RatFunc`` every subset of this
+        series shares; :class:`InvariantViolation` unless N_T = acc / (t^m - sign)
+        and W_T = L / N_T are exact and W_T has degree m."""
+        try:
+            numerator = _divide_binomial(self._packing.unpack(acc, bound), m, sign)
+            series = RatFunc.from_coprime(self.denominator.exact_div(Poly(numerator)), P_ONE)
+        except ValueError:
+            series = None
         if series is None or series.num.degree != m:
             raise InvariantViolation(
                 f"finite subset {subset:#x} did not produce a degree-{m} polynomial")
-        self._series[subset] = series
-        self._signed[subset], self._bounds[subset] = signed, entry_bound
-
-    def _divide(self, acc: int, m: int, sign: int, bound: int) -> tuple:
-        """(signed numerator, its bound, W_T) of a finite entry with sum ``acc``,
-        W_T the one ``RatFunc`` every subset of this series shares, or Nones
-        when N_T = acc / (t^m - sign) or W_T = L / N_T is not exact."""
-        numerator = _divide_binomial(self._packing.unpack(acc, bound), m, sign)
-        if numerator is None:
-            return None, None, None
-        try:
-            series = RatFunc.from_coprime(self.denominator.exact_div(Poly(numerator)), P_ONE)
-        except ValueError:
-            return None, None, None
         if sign < 0:
             numerator = [-c for c in numerator]
         return (*self._packing.pack(numerator), series)
@@ -313,7 +322,7 @@ class GrowthTable:
 
     def _over_denominator(self, numerator: Poly) -> RatFunc:
         """numerator / L, canonical: gcd(numerator, L) is found among L's factors."""
-        return RatFunc.from_coprime(*cancel_factors(numerator, self._factors))
+        return RatFunc.from_coprime(*cancel_factors(numerator, self._factors.values()))
 
     def series(self, subset: Mask = None) -> RatFunc:
         if subset is None:
@@ -321,22 +330,25 @@ class GrowthTable:
         if subset & ~self.matrix.full_mask:
             raise ValueError("subset is not within the generator set")
         if subset not in self._series:            # an infinite W_T, canonicalised once
-            numerator, denominator = cancel_factors(self._numerator(subset), self._factors)
-            self._series[subset] = RatFunc.from_coprime(denominator, numerator)
+            reciprocal = self._over_denominator(self._numerator(subset))
+            self._series[subset] = RatFunc.from_coprime(reciprocal.den, reciprocal.num)
         return self._series[subset]
 
     def quotient(self, subset: Mask) -> RatFunc:
         """W / W_T, canonical, one object per distinct W_T.
 
         A finite W_T = prod_k Phi_k^{#{i : k | d_i}} (Solomon) cancels
-        against W's numerator by trial division, with no gcd; an infinite
-        W_T takes one.
+        against W's numerator by trial division by the table's own Phi_k,
+        with no gcd and no new cyclotomic polynomial; an infinite W_T takes
+        a gcd.
         """
         wt = self.series(subset)
         if wt not in self._quotients:
             w, info = self.series(), self.infos[subset]
             if info.finite:
-                num, rest = cancel_factors(w.num, _cyclotomic_factors((info.degrees,)))
+                factors = [(self._factors[k][0], c)
+                           for k, c in _multiplicities(info.degrees).items()]
+                num, rest = cancel_factors(w.num, factors)
                 self._quotients[wt] = RatFunc.from_coprime(num, w.den * rest)
             else:
                 self._quotients[wt] = RatFunc(w.num * wt.den, w.den * wt.num)
@@ -382,10 +394,6 @@ class IdentityReport:
     lhs: RatFunc         # None when not applicable
     rhs: RatFunc
     note: str = ""
-
-    @property
-    def failed(self) -> bool:
-        return self.applicable and not self.holds
 
     def describe(self) -> str:
         if not self.applicable:

@@ -108,7 +108,6 @@ class WordOracle:
         self._table = [-1] * self.rank  # id * rank + s -> id of w*s; -1 until built
         self._starts = [0, 1]         # sphere k holds the ids starts[k] .. starts[k+1] - 1
         self._frontier = [0]          # the ids of the last sphere, as the table's int objects
-        self._exhausted = False
         self._counted = None          # _count() of the sphere after the last built, once asked for
 
     # -- the table -------------------------------------------------------------
@@ -167,8 +166,14 @@ class WordOracle:
         self._frontier = frontier
         self._starts.append(new)
         self._counted = None
-        if self._starts[-1] == self._starts[-2]:
-            self._exhausted = True
+
+    def _build(self, k: int) -> bool:
+        """Build the spheres up to k, or up to the first empty one (a finite
+        group ends there); return whether sphere k is built."""
+        starts = self._starts
+        while len(starts) <= k + 1 and starts[-1] != starts[-2]:
+            self._extend()
+        return k + 1 < len(starts)
 
     def _plan(self, d: Mask) -> list:
         """The plan of descent mask d, kept for the next element that has it."""
@@ -221,16 +226,15 @@ class WordOracle:
 
     def _sphere_counts(self, k: int) -> Counter:
         """Descent mask -> number of elements of length k, with the spheres
-        below k built and sphere k counted unless it is built already."""
+        below k built and sphere k counted unless it is built already.  Past
+        the end of a finite group the last sphere built is empty, and so is
+        the count."""
         if k < 0:
             raise ValueError("length must be nonnegative")
+        self._build(k - 1)
         starts = self._starts
-        while len(starts) <= k and not self._exhausted:
-            self._extend()
         if k + 1 < len(starts):
             return Counter(islice(self._descents, starts[k], starts[k + 1]))
-        if self._exhausted:
-            return Counter()
         if self._counted is None:
             self._counted = self._count()
         return self._counted
@@ -265,9 +269,7 @@ class WordOracle:
         """Ids of the elements of length exactly k, in ShortLex order."""
         if k < 0:
             raise ValueError("length must be nonnegative")
-        while len(self._starts) <= k + 1 and not self._exhausted:
-            self._extend()
-        if k + 1 < len(self._starts):
+        if self._build(k):
             return range(self._starts[k], self._starts[k + 1])
         return range(0)
 

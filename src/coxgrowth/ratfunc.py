@@ -54,9 +54,9 @@ class Poly:
         return cls((c,))
 
     @classmethod
-    def t_power(cls, k: int, c: int = 1) -> "Poly":
-        """The monomial c * t^k."""
-        return cls((0,) * k + (c,))
+    def t_power(cls, k: int) -> "Poly":
+        """The monomial t^k."""
+        return cls((0,) * k + (1,))
 
     @property
     def degree(self) -> int:

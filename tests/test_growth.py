@@ -243,13 +243,17 @@ EXTRA_FINITE = [_path(6), coxeter_matrix(5, {(0, 1): 3, (1, 2): 3, (2, 3): 4}),
                 coxeter_matrix(4, {(0, 1): 5, (1, 2): 3, (2, 3): 3}), E8]
 
 
+def _assert_table_matches_solomon(matrix):
+    """Every spherical entry is prod [d_i]_t over the classifier's degrees:
+    independent of the construction, which never sets an entry from them."""
+    table = GrowthTable(matrix)
+    for t in spherical_subsets(matrix):
+        assert table.series(t) == _solomon(classify(matrix, t).degrees), (matrix, t)
+
+
 def test_table_matches_solomon_product():
-    # independent of the construction, which never sets an entry from the
-    # degrees: every spherical entry is prod [d_i]_t over the catalog degrees
     for matrix in [e.matrix for e in ENTRIES] + EXTRA_FINITE:
-        table = GrowthTable(matrix)
-        for t in spherical_subsets(matrix):
-            assert table.series(t) == _solomon(classify(matrix, t).degrees), (matrix, t)
+        _assert_table_matches_solomon(matrix)
 
 
 def test_rank_ten_identities():
@@ -307,6 +311,12 @@ def systems_up_to_rank_5(draw):
 @given(systems_up_to_rank_5())
 def test_table_matches_seed_recursion_on_random_systems(matrix):
     _assert_matches_seed(matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_up_to_rank_5())
+def test_table_matches_solomon_product_on_random_systems(matrix):
+    _assert_table_matches_solomon(matrix)
 
 
 def _divides(a, b):

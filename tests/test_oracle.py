@@ -509,7 +509,8 @@ def _assert_counted_spheres_match_built_ones(matrix, horizon):
         sizes, counts, masks = (counted.sphere_sizes(k), counted.descent_counts(k),
                                 counted.ball_masks(k))
         # sphere k > 0 was counted, unless an empty sphere below it ended the group
-        assert len(counted._starts) == max(k + 1, 2) or counted._exhausted, k
+        starts = counted._starts
+        assert len(starts) == max(k + 1, 2) or starts[-1] == starts[-2], k
         assert sizes == built.sphere_sizes(k), k
         assert counts == built.descent_counts(k), k
         assert masks == built.ball_masks(k), k

@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from coxgrowth import (GrowthTable, census, census_by_type, coxeter_matrix, euler_series, get,
-                       growth_series, panel_union_euler, serialize_coxeter, verify_identities)
+                       growth, growth_series, panel_union_euler, serialize_coxeter,
+                       verify_identities)
 from coxgrowth.census import KINDS, check_face_length_drop
 from coxgrowth.classify import classify_all
 from coxgrowth.cli import main
@@ -143,9 +144,47 @@ def test_an_unknown_kind_is_reported_before_a_horizon_error(tables_built, classi
     assert classify_all_calls == []
 
 
-def test_coxeter_panel_union_classifies_nothing(classify_all_calls):
-    assert panel_union_euler(get("tilde-a2").matrix, "coxeter", 0b011) == 1
+@pytest.mark.parametrize("call", [
+    lambda m: panel_union_euler(m, "coxeter", 0b011) == 1,
+    lambda m: len(euler_series(m, "coxeter", 3)) == 4,
+    lambda m: check_face_length_drop(m, "coxeter", 3).passed,
+], ids=["panel_union_euler", "euler_series", "check_face_length_drop"])
+def test_coxeter_panel_union_classifies_nothing(call, classify_all_calls):
+    # the coxeter weights read no classification, so no coxeter request runs
+    # classify_all
+    assert call(get("tilde-a2").matrix)
     assert classify_all_calls == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: len(euler_series(m, "tits", 3)) == 4,
+    lambda m: len(euler_series(m, "davis", 3)) == 4,
+    lambda m: check_face_length_drop(m, "davis", 3).passed,
+    lambda m: panel_union_euler(m, "davis", 0b011) == 1,
+], ids=["euler_series-tits", "euler_series-davis", "check_face_length_drop-davis",
+        "panel_union_euler-davis"])
+def test_tits_and_davis_requests_classify_once(call, classify_all_calls):
+    assert call(get("tilde-a2").matrix)
+    assert len(classify_all_calls) == 1
+
+
+@pytest.mark.parametrize("matrix", [_path(6), get("h3").matrix], ids=["A6", "h3"])
+def test_quotients_build_no_cyclotomic_polynomial(matrix, monkeypatch):
+    # the table's own factors of L serve every finite W / W_T
+    calls = []
+    original = growth.cyclotomic
+
+    def counting(k, known):
+        calls.append(k)
+        return original(k, known)
+
+    monkeypatch.setattr(growth, "cyclotomic", counting)
+    table = GrowthTable(matrix)
+    assert calls
+    calls.clear()
+    for t in range(1 << matrix.rank):
+        table.quotient(t)
+    assert calls == []
 
 
 def test_chi_classifies_once_not_per_subset(tmp_path, classify_all_calls, capsys):
