@@ -82,7 +82,8 @@ def _cmd_growth(args):
     table = GrowthTable(matrix)
     series = table.series()
     info = table.infos[matrix.full_mask]
-    lines = [f"W(t) = {format_ratfunc(series)}"]
+    display = format_ratfunc(series)
+    lines = [f"W(t) = {display}"]
     if info.finite:
         lines.append(f"finite group of order {info.order}, "
                      f"longest element length {info.longest_length}")
@@ -92,7 +93,7 @@ def _cmd_growth(args):
         "rank": matrix.rank,
         "numerator": format_poly(series.num),
         "denominator": format_poly(series.den),
-        "display": format_ratfunc(series),
+        "display": display,
         "finite": info.finite,
         "longest_length": info.longest_length,
         "order": info.order,
@@ -119,8 +120,7 @@ def _cmd_verify(args):
         else:
             status = "pass" if rep.holds else "fail"
             detail = "holds by construction" if rep.by_construction else "independent check"
-            checks.append(_check(f"identity {rep.identity}", status, detail,
-                                 format_ratfunc(rep.lhs), format_ratfunc(rep.rhs)))
+            checks.append(_check(f"identity {rep.identity}", status, detail, *rep.sides))
     data = {"rank": matrix.rank, "finite": table.infos[matrix.full_mask].finite}
     return lines, data, checks
 

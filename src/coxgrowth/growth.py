@@ -30,7 +30,10 @@ divide-and-conquer over the bits: a block of masks sharing their high bits
 is solved as its lower half (next bit clear), whose subset sums are then
 added into the upper half before it is solved, and each block hands its
 own subset sums back up.  That is n * 2^n vector additions in place of one
-per (subset, proper subset) pair, 3^n.
+per (subset, proper subset) pair, 3^n.  Only lower halves' sums are ever
+read, so the top block and its chain of upper halves form none, and each
+frees its lower half's sums before its upper half recurses; ``verify`` on
+A_16 peaks near 100 MB resident (CPython 3.11, x86-64).
 
 Packed numerators.  Each coefficient vector is held as one Python int, its
 value at t = 2^k (Kronecker substitution; k = 64 bits to start), so every
@@ -43,10 +46,21 @@ bounds outgrow the digits is rebuilt at twice the width, and no entry is
 read from a digit that may have overflowed.  The identity sums add packed
 terms in runs whose bounds fit and decode each run.
 
+Packed divisions.  A finite entry's two divisions run on the packed ints
+themselves, as integer divisions at B = 2^k: N_T = acc // (B^m - sign) and
+W_T = L // N_T.  An exact polynomial division stays exact at t = B, so a
+nonzero remainder proves it inexact (:class:`InvariantViolation`).  A zero
+remainder proves it exact only with a bound: when 2 max|N_T| < 2^(k-1)
+the balanced digits of N_T * (t^m - sign) are its coefficients, so they are
+acc's, and when ||N_T||_1 max|W_T| < 2^(k-1) those of W_T * N_T are L's.
+A failed bound is an overflow like any other, and the table is rebuilt
+wider; only N_T and W_T are decoded, for these bounds and for the
+``RatFunc``.
+
 One division per distinct numerator.  Subsets of the same finite type have
-the same acc, so a finite entry's decode, its two exact divisions, its
-degree-m test, its re-packing and its ``RatFunc`` W_T are memoised on
-(acc, m, (-1)^{|T|}) for the length of the build.  The same input gives the
+the same acc, so a finite entry's two divisions, their bounds, its degree-m
+test and its ``RatFunc`` W_T are memoised on (acc, m, (-1)^{|T|}) for the
+length of the build.  The same input gives the
 same verdict, so each verdict is reached once per distinct key: a failing
 one raises at the first subset that meets it, and the memo holds only
 entries that passed.  Every subset of one finite series holds the one W_T
@@ -67,7 +81,8 @@ trial division of W's numerator by the table's own Phi_k, the factors of L
 keyed by k, with those multiplicities: no cyclotomic polynomial is built
 after the denominator.  An infinite W_T takes a gcd.  The table also keeps
 the ``(infos, spherical)`` classification that built it (one
-:func:`~coxgrowth.classify.classify_all` pass), and nothing is cached
+:func:`~coxgrowth.classify.classify_all` pass, one info object per type),
+and nothing is cached
 across tables.  Keep the object to reuse it;
 :func:`growth_series` builds one for a single answer.
 
@@ -90,6 +105,7 @@ the construction and are independent checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 
 from .classify import classify_all, spherical_subsets
@@ -146,20 +162,6 @@ def _common_denominator(factors) -> Poly:
     return out
 
 
-def _divide_binomial(acc: list, m: int, sign: int) -> list:
-    """acc / (t^m - sign) as a coefficient list of the same length; ValueError if inexact."""
-    rem = list(acc)
-    quot = [0] * len(acc)
-    for k in range(len(acc) - 1, m - 1, -1):
-        c = rem[k]
-        if c:
-            quot[k - m] = c
-            rem[k - m] += sign * c
-    if any(rem[:m]):
-        raise ValueError("division by t^m - sign is not exact")
-    return quot
-
-
 class _Packing:
     """Coefficient lists of one length as single ints (Kronecker substitution).
 
@@ -193,7 +195,16 @@ class _Packing:
     def unpack(self, value: int, bound: int) -> list:
         """The coefficient list of a packed value whose coefficients are bounded by ``bound``."""
         self.check(bound)
-        raw = (value + self.offset).to_bytes(self.count * self.width, "little")
+        return self.digits(value)
+
+    def digits(self, value: int) -> list:
+        """The ``count`` balanced digits of ``value``: its coefficient list
+        only once a bound proves it; :class:`_Overflow` if they do not reach."""
+        try:
+            raw = (value + self.offset).to_bytes(self.count * self.width, "little")
+        except OverflowError:
+            raise _Overflow(f"{value:#x} has no {self.count} balanced "
+                            f"{8 * self.width}-bit digits") from None
         half, width = self.half, self.width
         return [int.from_bytes(raw[i:i + width], "little") - half
                 for i in range(0, len(raw), width)]
@@ -230,28 +241,37 @@ class GrowthTable:
         self._series = {0: RatFunc.from_coprime(P_ONE, P_ONE)}  # T -> W_T, shared if finite
         self._quotients = {}                   # W_T -> W / W_T
         self._checked = {}                     # (acc, m, sign) -> finite entry, for the build only
-        zeros = [0] * size
-        self._block(0, self.matrix.rank, zeros, zeros)
+        self._block(0, self.matrix.rank, [0] * size, [0] * size, False)
         del self._checked
 
-    def _block(self, base: Mask, k: int, incoming: list, bounds: list) -> tuple:
-        """Solve the masks base | x, x < 2^k, and return their subset sums and bounds.
+    def _block(self, base: Mask, k: int, incoming: list, bounds: list, sums: bool = True):
+        """Solve the masks base | x, x < 2^k; return their subset sums and
+        bounds if ``sums``, else None.
 
         ``incoming[x]`` is the sum of the signed numerators of the subsets of
         base | x that lie outside the block, and ``bounds[x]`` bounds its
         coefficients; the result's entry x is the sum over the subsets of
-        base | x inside it.
+        base | x inside it.  The block consumes both lists.  Only the lower
+        halves' sums are read, so the top call and its chain of upper halves
+        ask for none, and each frees its lower sums before its upper half
+        recurses.
         """
         if k == 0:
             self._solve(base, incoming[0], bounds[0], self.infos[base])
-            return [self._signed[base]], [self._bounds[base]]
+            return ([self._signed[base]], [self._bounds[base]]) if sums else None
         half = 1 << (k - 1)
         low, low_bounds = self._block(base, k - 1, incoming[:half], bounds[:half])
-        high, high_bounds = self._block(base | half, k - 1,
-                                        list(map(add, incoming[half:], low)),
-                                        list(map(add, bounds[half:], low_bounds)))
-        return (low + list(map(add, low, high)),
-                low_bounds + list(map(add, low_bounds, high_bounds)))
+        del incoming[:half], bounds[:half]
+        incoming[:] = map(add, incoming, low)
+        bounds[:] = map(add, bounds, low_bounds)
+        if not sums:
+            del low, low_bounds
+            self._block(base | half, k - 1, incoming, bounds, False)
+            return None
+        high, high_bounds = self._block(base | half, k - 1, incoming, bounds)
+        low.extend(map(add, low[:half], high))
+        low_bounds.extend(map(add, low_bounds[:half], high_bounds))
+        return low, low_bounds
 
     def _solve(self, subset: Mask, acc: int, bound: int, info):
         """Signed numerator of one entry from the packed sum ``acc`` over its proper subsets."""
@@ -272,25 +292,45 @@ class GrowthTable:
         sign = _sign(subset.bit_count())
         key = (acc, m, sign)
         if key not in self._checked:
-            self._checked[key] = self._divide(acc, m, sign, bound, subset)
+            self._checked[key] = self._divide(acc, m, sign, subset)
         self._signed[subset], self._bounds[subset], self._series[subset] = self._checked[key]
 
-    def _divide(self, acc: int, m: int, sign: int, bound: int, subset: Mask) -> tuple:
+    def _divide(self, acc: int, m: int, sign: int, subset: Mask) -> tuple:
         """(signed numerator, its bound, W_T) of a finite entry with sum ``acc``,
         first met at ``subset``, W_T the one ``RatFunc`` every subset of this
-        series shares; :class:`InvariantViolation` unless N_T = acc / (t^m - sign)
-        and W_T = L / N_T are exact and W_T has degree m."""
-        try:
-            numerator = _divide_binomial(self._packing.unpack(acc, bound), m, sign)
-            series = RatFunc.from_coprime(self.denominator.exact_div(Poly(numerator)), P_ONE)
-        except ValueError:
-            series = None
-        if series is None or series.num.degree != m:
+        series shares.
+
+        Both divisions run on the packed ints, B = 2^(8 w) the digit base:
+        N_T = acc // (B^m - sign) and W_T = L // N_T.  The digits of acc and
+        L are their coefficients (their bounds are checked), so a zero
+        remainder with small digits is the polynomial identity: when
+        2 max|N_T| < half, the digits of N_T * (t^m - sign) are balanced,
+        so they are those of acc;
+        when ||N_T||_1 max|W_T| < half, those of W_T * N_T are those of L.
+        A nonzero remainder means the polynomial division is inexact too, and
+        it, or a W_T not of degree m, raises :class:`InvariantViolation`; a
+        bound that fails raises :class:`_Overflow`, and the table is rebuilt
+        wider.
+        """
+        packing = self._packing
+        numerator, rest = divmod(acc, (1 << (8 * packing.width * m)) - sign)
+        if rest:
+            raise InvariantViolation(f"the sum below finite subset {subset:#x} is not "
+                                     f"divisible by t^{m} - ({sign})")
+        coeffs = packing.digits(numerator)
+        top = max(map(abs, coeffs))
+        packing.check(2 * top)
+        quotient, rest = divmod(self._signed[0], numerator)
+        if rest:
+            raise InvariantViolation(f"the numerator of finite subset {subset:#x} "
+                                     f"does not divide the common denominator")
+        w_coeffs = packing.digits(quotient)
+        packing.check(sum(map(abs, coeffs)) * max(map(abs, w_coeffs)))
+        series = RatFunc.from_coprime(Poly(w_coeffs), P_ONE)
+        if series.num.degree != m:
             raise InvariantViolation(
                 f"finite subset {subset:#x} did not produce a degree-{m} polynomial")
-        if sign < 0:
-            numerator = [-c for c in numerator]
-        return (*self._packing.pack(numerator), series)
+        return sign * numerator, top, series
 
     def _numerator(self, subset: Mask) -> Poly:
         """N_T, with 1 / W_T = N_T / L."""
@@ -395,13 +435,18 @@ class IdentityReport:
     rhs: RatFunc
     note: str = ""
 
+    @cached_property
+    def sides(self) -> tuple:
+        """The formatted lhs and rhs, formatted once."""
+        return format_ratfunc(self.lhs), format_ratfunc(self.rhs)
+
     def describe(self) -> str:
         if not self.applicable:
             return f"identity {self.identity}: not applicable ({self.note})"
         verdict = "holds" if self.holds else "FAILS"
         tag = " (by construction)" if self.by_construction else ""
-        return (f"identity {self.identity}: {verdict}{tag}   "
-                f"lhs = {format_ratfunc(self.lhs)}   rhs = {format_ratfunc(self.rhs)}")
+        lhs, rhs = self.sides
+        return f"identity {self.identity}: {verdict}{tag}   lhs = {lhs}   rhs = {rhs}"
 
 
 def verify_identity(table: GrowthTable, which: int) -> IdentityReport:

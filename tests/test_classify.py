@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from coxgrowth import (ENTRIES, GeometricOracle, GrowthTable, WordOracle, classify,
                        get, parse_coxeter_file, spherical_subsets)
 from coxgrowth.classify import ComponentType, classify_all, degrees_of
-from coxgrowth.coxeter import INFINITY, coxeter_matrix
+from coxgrowth.coxeter import INFINITY, bits_of, coxeter_matrix, mask_of
 from coxgrowth.ratfunc import series_expand
 
 from conftest import full_histogram
@@ -69,7 +69,7 @@ def test_recognizes_finite_types(matrix, order, longest):
 
 
 def _component(label, rank, parameter=0):
-    return ComponentType(label, rank, parameter, 0, degrees_of(label, rank, parameter))
+    return ComponentType(label, rank, parameter, degrees_of(label, rank, parameter))
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -348,6 +348,26 @@ def test_classify_all_matches_each_connected_subset_once(monkeypatch, matrix, co
     monkeypatch.setattr(classify_module, "_match_component", counting)
     classify_all(matrix)
     assert len(calls) == len(set(calls)) == connected
+
+
+@pytest.mark.parametrize("n,types", [(10, 56), (16, 297)])
+def test_classify_all_shares_one_info_per_type(n, types):
+    # A_n's subsets are all finite, of far fewer types: each type is one object
+    infos, _ = classify_all(path(n))
+    assert len({id(info) for info in infos}) == len(set(infos)) == types
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_up_to_rank_7(), st.randoms(use_true_random=False))
+def test_classify_is_unchanged_by_relabelling_generators(matrix, rng):
+    n = matrix.rank
+    p = list(range(n))
+    rng.shuffle(p)
+    relabelled = coxeter_matrix(n, {(min(p[i], p[j]), max(p[i], p[j])): matrix.orders[i][j]
+                                    for i in range(n) for j in range(i + 1, n)})
+    for t in range(1 << n):
+        image = mask_of(p[i] for i in bits_of(t))
+        assert classify(relabelled, image) == classify(matrix, t), (matrix, p, t)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,25 @@ def test_census_formats_each_distinct_closed_form_once(capsys, monkeypatch):
     assert len(formatted) == 4
 
 
+@pytest.mark.parametrize("argv,count", [
+    (("growth", f"{SYS}/tilde-a2.cox"), 1),
+    (("verify", f"{SYS}/tilde-a2.cox"), 6),           # identities 1, 3, 4: lhs and rhs
+    (("verify", f"{SYS}/a2.cox", "--json"), 6),       # identities 2, 3, 4
+])
+def test_growth_and_verify_format_each_string_once(capsys, monkeypatch, argv, count):
+    formatted = []
+
+    def recording(r):
+        formatted.append(r)
+        return format_ratfunc(r)
+
+    monkeypatch.setattr(cli, "format_ratfunc", recording)
+    monkeypatch.setattr(coxgrowth.growth, "format_ratfunc", recording)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(formatted) == count
+
+
 def test_census_tits_json(capsys):
     code, doc, _ = run_json(capsys, "census", f"{SYS}/inf-dihedral.cox",
                             "--complex", "tits", "--max-length", "6")

@@ -425,6 +425,62 @@ def test_one_division_per_distinct_numerator(monkeypatch):
     assert not hasattr(table, "_checked")
 
 
+# ---------------------------------------------------------------------------
+# packed divisions: a zero remainder proves the polynomial identity only
+# under the digit bounds
+# ---------------------------------------------------------------------------
+
+def _a2_table():
+    # L = (1 + t)(1 + t + t^2) = W, so the full set's N_T is 1; m = 3, sign +1
+    table = GrowthTable(get("a2").matrix)
+    return table, 1 << (8 * table._packing.width)
+
+
+def test_divide_accepts_the_true_entry():
+    table, base = _a2_table()
+    assert table._divide(base ** 3 - 1, 3, 1, 0b11) == (1, 1, table.series())
+
+
+def test_divide_rejects_quotient_digits_outside_the_bound():
+    # an exact integer multiple of B^m - sign, but 2 max|N| reaches half
+    table, base = _a2_table()
+    big = table._packing.half // 2
+    with pytest.raises(growth._Overflow):
+        table._divide(big * (base ** 2 - 1), 2, 1, 0b11)
+
+
+def test_divide_rejects_series_digits_outside_the_bound():
+    # L(B) = N(B) W(B) exactly, but ||N||_1 max|W| reaches half, so the
+    # digits of N W need not be those of L: N = 1 + t, W = (half / 2) t^2
+    table, base = _a2_table()
+    numerator, series = 1 + base, table._packing.half // 2 * base ** 2
+    table._signed[0] = numerator * series
+    with pytest.raises(growth._Overflow):
+        table._divide(numerator * (base ** 2 - 1), 2, 1, 0b11)
+
+
+def test_divide_rejects_a_sum_not_divisible_by_the_binomial():
+    # 1 + t^2 is not divisible by t - 1
+    table, base = _a2_table()
+    with pytest.raises(InvariantViolation):
+        table._divide(1 + base ** 2, 1, 1, 0b11)
+
+
+def test_divide_rejects_a_quotient_that_does_not_divide_the_denominator():
+    # N = 2 passes the bound, but L(B) is odd, so 2 does not divide it
+    table, base = _a2_table()
+    assert table._signed[0] % 2
+    with pytest.raises(InvariantViolation):
+        table._divide(2 * (base ** 2 - 1), 2, 1, 0b11)
+
+
+def test_divide_rejects_a_series_of_the_wrong_degree():
+    # N = 1 divides L, but W = L has degree 3, not m = 2
+    table, base = _a2_table()
+    with pytest.raises(InvariantViolation):
+        table._divide(base ** 2 - 1, 2, 1, 0b11)
+
+
 def _assert_quotients(matrix):
     """Every quotient is the gcd-reduced W / W_T, one object per distinct W_T."""
     table = GrowthTable(matrix)
