@@ -3,7 +3,8 @@
 Each system has one file ``tests/golden/<system>.txt`` holding, for every
 command line of :func:`command_lines`, the line itself, its stdout, its
 stderr (when there is any) and its exit status, with the JSON reports'
-``timestamp`` masked.  ``tests/test_golden.py`` runs the list in process
+``timestamp`` masked; ``tests/golden/catalog.txt`` holds the command lines
+that read no system file.  ``tests/test_golden.py`` runs the list in process
 and compares the result with the files, so an unintended change of any
 report shows as a failing test and a declared one as a diff of these files.
 
@@ -30,6 +31,8 @@ GOLDEN = ROOT / "tests" / "golden"
 # free product of 8 copies of Z/2.
 SHIPPED = sorted(p.stem for p in (ROOT / "systems").glob("*.cox"))
 SYNTHETIC = ("a8", "cycle8", "racycle8", "free8")
+CATALOG = "catalog"     # the file of the command lines that read no system
+NAMES = SHIPPED + list(SYNTHETIC) + [CATALOG]
 
 _MASK = re.compile(r'^(\s*"timestamp": )".*"(,?)$', re.MULTILINE)
 
@@ -41,13 +44,18 @@ def system_path(name: str) -> str:
 
 
 def command_lines(name: str) -> list:
-    """The argv lists run on one system: growth, verify, chi and the census of
-    each kind by type, each in text and with ``--json``."""
-    path = system_path(name)
-    horizon = "3" if name in SYNTHETIC else "6"
-    forms = [["growth", path, "--series", "10"], ["verify", path], ["chi", path]]
-    forms += [["census", path, "--complex", kind, "--max-length", horizon, "--by-type"]
-              for kind in ("coxeter", "davis", "tits")]
+    """The argv lists run on one system: growth, verify, chi, the census of
+    each kind by type and the cross-checked oracle, each in text and with
+    ``--json``; for :data:`CATALOG`, the catalog's self-test."""
+    if name == CATALOG:
+        forms = [["catalog", "--self-test"]]
+    else:
+        path = system_path(name)
+        horizon = "3" if name in SYNTHETIC else "6"
+        forms = [["growth", path, "--series", "10"], ["verify", path], ["chi", path]]
+        forms += [["census", path, "--complex", kind, "--max-length", horizon, "--by-type"]
+                  for kind in ("coxeter", "davis", "tits")]
+        forms.append(["oracle", path, "--max-length", "6", "--cross-check"])
     return [argv + extra for argv in forms for extra in ([], ["--json"])]
 
 
@@ -75,7 +83,7 @@ def golden_file(name: str) -> Path:
 
 def regenerate():
     os.chdir(ROOT)
-    for name in SHIPPED + list(SYNTHETIC):
+    for name in NAMES:
         golden_file(name).write_text(render(name), encoding="utf-8")
         print(golden_file(name).relative_to(ROOT))
 

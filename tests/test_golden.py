@@ -6,13 +6,13 @@ how to regenerate the files after a declared report change.
 
 import difflib
 
-from golden_corpus import ROOT, SHIPPED, SYNTHETIC, golden_file, render
+from golden_corpus import NAMES, ROOT, golden_file, render
 
 
 def test_reports_match_the_golden_files(monkeypatch):
     monkeypatch.chdir(ROOT)
     changed = []
-    for name in SHIPPED + list(SYNTHETIC):
+    for name in NAMES:
         want = golden_file(name).read_text(encoding="utf-8")
         got = render(name)
         if got != want:
