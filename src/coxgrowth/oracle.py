@@ -487,7 +487,7 @@ def _minimal_polynomial(big_m: int) -> list:
     D_0 = 2, D_1 = c, D_j = c*D_{j-1} - D_{j-2}.  P is monic of degree
     d = phi(2M)/2, the degree of Q(c) over Q.
     """
-    phi = cyclotomic(2 * big_m, {}).coeffs
+    phi = cyclotomic(2 * big_m).coeffs
     d = (len(phi) - 1) // 2
     out = [phi[d]] + [0] * d
     prev, cur = [2], [0, 1]

@@ -24,7 +24,9 @@ integer; it is imported only there.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd
+from operator import add, sub
 
 
 def _exact_point(x):
@@ -401,15 +403,51 @@ def substitute_inverse(r: RatFunc) -> RatFunc:
     return RatFunc.from_coprime(num, den)
 
 
-def cyclotomic(k: int, known: dict) -> Poly:
-    """Phi_k, from t^k - 1 over the Phi_d of its proper divisors (memoised in ``known``)."""
-    if k not in known:
-        phi = Poly.t_power(k) - 1
-        for d in range(1, k // 2 + 1):
-            if k % d == 0:
-                phi = phi.exact_div(cyclotomic(d, known))
-        known[k] = phi
-    return known[k]
+def cyclotomic(k: int) -> Poly:
+    """Phi_k, the k-th cyclotomic polynomial, by the Moebius product
+
+        Phi_k(t) = prod_{e | rad k} (t^{k/e} - 1)^{mu(e)}
+
+    over the divisors e of rad k, the product of the distinct primes of k,
+    with the Moebius function mu (Moebius inversion of
+    t^k - 1 = prod_{d | k} Phi_d; Lang, *Algebra*, VI.3).  For k > 1 the
+    mu(e) sum to 0, so the product is also prod (1 - t^{k/e})^{mu(e)}, whose
+    factors are units of Z[[t]].  It is formed modulo t^(n+1), n = phi(k) =
+    deg Phi_k: each factor is a sparse multiply by 1 - t^d, or an exact
+    division by it (a prefix sum with stride d), in O(n) steps, and a
+    factor with d > n is 1 there.
+    """
+    if k == 1:
+        return Poly((-1, 1))
+    primes, rest, p = [], k, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        primes.append(rest)
+    n = k
+    for p in primes:
+        n = n // p * (p - 1)
+    divisors = [(1, 1)]                     # (e, mu(e)) for e | rad k
+    for p in primes:
+        divisors += [(e * p, -mu) for e, mu in divisors]
+    coeffs = [1] + [0] * n
+    for e, mu in divisors:
+        d = k // e
+        if d > n:
+            continue
+        if mu > 0:
+            coeffs[d:] = map(sub, coeffs[d:], coeffs[:-d])
+        elif d * d <= n:                    # few strides: a prefix sum along each
+            for r in range(d):
+                coeffs[r::d] = accumulate(coeffs[r::d])
+        else:                               # few blocks of d: add each to the next
+            for j in range(d, n + 1, d):
+                coeffs[j:j + d] = map(add, coeffs[j:j + d], coeffs[j - d:j])
+    return Poly(coeffs)
 
 
 def cancel_factors(p: Poly, factors) -> tuple:

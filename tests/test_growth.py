@@ -337,11 +337,11 @@ def test_denominator_missing_a_factor_is_caught(monkeypatch, name):
     denominator = full(growth._cyclotomic_factors(
         {classify(matrix, t).degrees for t in spherical_subsets(matrix)}))
     factors = [k for k in range(2, 31)
-               if _divides(cyclotomic(k, {}), denominator)]
+               if _divides(cyclotomic(k), denominator)]
     assert factors
     for k in factors:
         monkeypatch.setattr(growth, "_common_denominator",
-                            lambda factors, k=k: full(factors).exact_div(cyclotomic(k, {})))
+                            lambda factors, k=k: full(factors).exact_div(cyclotomic(k)))
         with pytest.raises(InvariantViolation):
             GrowthTable(matrix)
 
@@ -358,10 +358,12 @@ def test_invariant_violation_message():
 # packed numerators: width safety
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(-(2 ** 20), 2 ** 20), min_size=1, max_size=8),
-       st.integers(min_value=1, max_value=4))
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.integers(-(2 ** 140), 2 ** 140), min_size=1, max_size=8),
+       st.integers(min_value=1, max_value=17))
 def test_packing_round_trip_and_bound_check(coeffs, width):
+    # widths of one to four limbs of every size (8 and 16 bytes are the
+    # table's), and odd widths decoded byte by byte
     packing = growth._Packing(len(coeffs), width)
     bound = max(map(abs, coeffs))
     if bound >= packing.half:
@@ -403,6 +405,39 @@ def test_narrow_packing_gives_identical_tables_on_catalog():
 @given(systems_up_to_rank_6())
 def test_narrow_packing_gives_identical_tables_on_random_systems(matrix):
     _assert_width_independent(matrix)
+
+
+def _h_path(n):
+    # a path of 3s but for a 5 on its first edge: H_3 and H_4 at ranks 3 and 4
+    return coxeter_matrix(n, {(0, 1): 5, **{(i, i + 1): 3 for i in range(1, n - 1)}})
+
+
+@pytest.mark.parametrize("matrix", [_h_path(growth._LEAF_BITS), _path(growth._LEAF_BITS + 1)],
+                         ids=["leaf-rank", "leaf-rank+1"])
+def test_narrow_rebuild_inside_leaf_blocks(matrix):
+    # one leaf block, then two: at one byte per coefficient both outgrow
+    # their digits inside a leaf, and the rebuilt table is the seed's
+    _assert_matches_seed(matrix)
+    assert _assert_width_independent(matrix)._packing.width > 1
+
+
+@pytest.mark.parametrize("rank", range(growth._LEAF_BITS - 1, growth._LEAF_BITS + 4))
+def test_block_calls_stop_at_leaf_blocks(monkeypatch, rank):
+    # blocks of 2^K masks are solved flat, so a rank-n build makes
+    # 2^(n - K + 1) - 1 block calls (one below rank K), not 2^(n + 1) - 1
+    calls = []
+    block = GrowthTable._block
+
+    def counting(self, base, k, *args):
+        calls.append(k)
+        return block(self, base, k, *args)
+
+    monkeypatch.setattr(GrowthTable, "_block", counting)
+    table = GrowthTable(_path(rank))
+    assert table._packing.width == growth._DIGIT_BYTES     # built once
+    leaf = growth._LEAF_BITS
+    assert len(calls) == ((1 << (rank - leaf + 1)) - 1 if rank >= leaf else 1)
+    assert min(calls) == min(rank, leaf)
 
 
 def test_one_division_per_distinct_numerator(monkeypatch):

@@ -174,9 +174,9 @@ def test_quotients_build_no_cyclotomic_polynomial(matrix, monkeypatch):
     calls = []
     original = growth.cyclotomic
 
-    def counting(k, known):
+    def counting(k):
         calls.append(k)
-        return original(k, known)
+        return original(k)
 
     monkeypatch.setattr(growth, "cyclotomic", counting)
     table = GrowthTable(matrix)

@@ -200,9 +200,6 @@ def test_substitute_inverse_matches_gcd_path(r, a, b):
     assert substitute_inverse(r) == _substitute_inverse_by_gcd(r)
 
 
-_PHI = {}   # cyclotomic polynomials, shared by the examples below
-
-
 @settings(max_examples=80, deadline=None)
 @given(coeff_lists,
        st.dictionaries(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=3),
@@ -211,18 +208,34 @@ _PHI = {}   # cyclotomic polynomials, shared by the examples below
 def test_cancel_factors_matches_gcd_reduction(base, exponents, shared):
     # a random polynomial times a random sub-product of L = prod Phi_k^e_k
     # (and possibly further cyclotomic factors), reduced both ways up
-    factors = [(cyclotomic(k, _PHI), e) for k, e in sorted(exponents.items())]
+    factors = [(cyclotomic(k), e) for k, e in sorted(exponents.items())]
     L = Poly((1,))
     for phi, e in factors:
         for _ in range(e):
             L = L * phi
     num = Poly(base)
     for k in shared:
-        num = num * cyclotomic(k, _PHI)
+        num = num * cyclotomic(k)
     reduced, rest = cancel_factors(num, factors)
     assert RatFunc.from_coprime(reduced, rest) == RatFunc(num, L)
     if num:
         assert RatFunc.from_coprime(rest, reduced) == RatFunc(L, num)
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for k in range(1, 301):
+        expected = sympy.Poly(sympy.cyclotomic_poly(k, t), t).all_coeffs()[::-1]
+        assert cyclotomic(k).coeffs == tuple(int(c) for c in expected), k
+
+
+def test_cyclotomic_of_twice_a_large_prime():
+    # Phi_2p(t) = Phi_p(-t) = 1 - t + t^2 - ... + t^(p-1); of the factors
+    # 1 - t^d, d = 2p, p, 2, 1, the first two are 1 modulo t^p
+    p = 99991
+    assert cyclotomic(p).coeffs == (1,) * p
+    assert cyclotomic(2 * p).coeffs == (1, -1) * (p // 2) + (1,)
 
 
 def test_from_coprime_normalises_content_and_sign():
