@@ -4,7 +4,10 @@ Each system has one file ``tests/golden/<system>.txt`` holding, for every
 command line of :func:`command_lines`, the line itself, its stdout, its
 stderr (when there is any) and its exit status, with the JSON reports'
 ``timestamp`` masked; ``tests/golden/catalog.txt`` holds the command lines
-that read no system file.  ``tests/test_golden.py`` runs the list in process
+that read no system file, and ``tests/golden/argparse.txt`` those that only
+argparse parses (an abbreviated option, ``--option=value``, options before
+the file), help and usage text excepted, since its wording changes between
+Python versions.  ``tests/test_golden.py`` runs the list in process
 and compares the result with the files, so an unintended change of any
 report shows as a failing test and a declared one as a diff of these files.
 
@@ -32,7 +35,23 @@ GOLDEN = ROOT / "tests" / "golden"
 SHIPPED = sorted(p.stem for p in (ROOT / "systems").glob("*.cox"))
 SYNTHETIC = ("a8", "cycle8", "racycle8", "free8")
 CATALOG = "catalog"     # the file of the command lines that read no system
-NAMES = SHIPPED + list(SYNTHETIC) + [CATALOG]
+ARGPARSE = "argparse"   # the file of the command lines that skip the fast parser
+NAMES = SHIPPED + list(SYNTHETIC) + [CATALOG, ARGPARSE]
+
+# Reports reached only through argparse: each line is one that the fast
+# parser hands over, and each prints a report rather than usage.
+_ARGPARSE_FORMS = (
+    ["verify", "systems/b3.cox", "--identity=3"],
+    ["verify", "--identity=1", "systems/tilde-a2.cox"],
+    ["growth", "--series=6", "systems/triangle-244.cox"],
+    ["growth", "--ser", "4", "systems/i2-7.cox"],
+    ["oracle", "systems/b3.cox", "--max", "4", "--cross"],
+    ["oracle", "--max-length=5", "systems/triangle-237.cox"],
+    ["census", "systems/tilde-a2.cox", "--complex=tits", "--max-length=4", "--by-type"],
+    ["census", "--complex", "davis", "--max-length", "4", "--by", "systems/racg-4cycle.cox"],
+    ["census", "systems/i2-5.cox", "--compl", "coxeter", "--by-type"],
+    ["catalog", "--self"],
+)
 
 _MASK = re.compile(r'^(\s*"timestamp": )".*"(,?)$', re.MULTILINE)
 
@@ -46,9 +65,12 @@ def system_path(name: str) -> str:
 def command_lines(name: str) -> list:
     """The argv lists run on one system: growth, verify, chi, the census of
     each kind by type and the cross-checked oracle, each in text and with
-    ``--json``; for :data:`CATALOG`, the catalog's self-test."""
+    ``--json``; for :data:`CATALOG`, the catalog's self-test, and for
+    :data:`ARGPARSE`, the command lines that only argparse parses."""
     if name == CATALOG:
         forms = [["catalog", "--self-test"]]
+    elif name == ARGPARSE:
+        forms = [list(argv) for argv in _ARGPARSE_FORMS]
     else:
         path = system_path(name)
         horizon = "3" if name in SYNTHETIC else "6"
