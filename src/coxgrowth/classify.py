@@ -28,7 +28,8 @@ families) instead of a diagram search per subset.  The pass keeps one
 :class:`FiniteTypeInfo` per distinct type, and the union of two types is
 looked up by the pair of objects, so each type's components are sorted
 once: all 65 536 subsets of A_16 share 297 objects (about 3 MB), and are
-classified in about 0.2 s.
+classified in 60-70 ms (best of 3 in one process, CPython 3.11, shared
+2-core x86-64 VM).
 
 Nothing here is cached: each call classifies afresh, and the caller keeps
 what it needs.  The growth table holds the ``(infos, spherical)`` pair of

@@ -11,6 +11,9 @@ On-disk format (UTF-8 text, one directive per line, ``#`` starts a comment):
     rank N          first directive, 1 <= N <= 16
     m I J K         1 <= I < J <= N, K an integer >= 2 or "inf"
 
+N, I, J and K are ASCII decimal digits: no sign, no ``_`` and no other
+Unicode digit.  A leading UTF-8 byte-order mark is skipped.
+
 Pairs never mentioned default to order 2 (the generators commute).  The
 canonical serializer emits the rank line followed by the non-default pairs
 in lexicographic (I, J) order.  Generators are 1-based in files and 0-based
@@ -162,8 +165,26 @@ def format_subset(mask: Mask) -> str:
 # parsing / serialization
 # ---------------------------------------------------------------------------
 
+def _integer(token: str, lineno: int, message: str) -> int:
+    """The value of a token of ASCII decimal digits, else CoxParseError with
+    the line number and ``message`` (``int`` alone takes a sign, ``_`` and
+    any Unicode digit)."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise CoxParseError(f"line {lineno}: {message}: {token!r}")
+
+
 def parse_coxeter_file(text: str) -> CoxeterMatrix:
-    """Parse the ``rank`` / ``m I J K`` format; raise CoxParseError with a line number."""
+    """Parse the ``rank`` / ``m I J K`` format; raise CoxParseError with a line number.
+
+    Numbers are ASCII decimal digits only, and one leading byte-order mark
+    is skipped.
+    """
+    if text.startswith("\ufeff"):
+        text = text[1:]
     rank = None
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -176,10 +197,7 @@ def parse_coxeter_file(text: str) -> CoxeterMatrix:
                 raise CoxParseError(f"line {lineno}: duplicate rank directive")
             if len(tokens) != 2:
                 raise CoxParseError(f"line {lineno}: expected 'rank N'")
-            try:
-                rank = int(tokens[1])
-            except ValueError:
-                raise CoxParseError(f"line {lineno}: rank is not an integer") from None
+            rank = _integer(tokens[1], lineno, "rank is not an integer")
             if not 1 <= rank <= RANK_CAP:
                 raise CoxParseError(f"line {lineno}: rank must be between 1 and {RANK_CAP}")
         elif tokens[0] == "m":
@@ -187,19 +205,14 @@ def parse_coxeter_file(text: str) -> CoxeterMatrix:
                 raise CoxParseError(f"line {lineno}: 'm' directive before 'rank'")
             if len(tokens) != 4:
                 raise CoxParseError(f"line {lineno}: expected 'm I J K'")
-            try:
-                i, j = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise CoxParseError(f"line {lineno}: generator indices are not integers") from None
+            i, j = (_integer(token, lineno, "generator indices are not integers")
+                    for token in tokens[1:3])
             if not (1 <= i < j <= rank):
                 raise CoxParseError(f"line {lineno}: need 1 <= I < J <= {rank}")
             if tokens[3] == "inf":
                 k = INFINITY
             else:
-                try:
-                    k = int(tokens[3])
-                except ValueError:
-                    raise CoxParseError(f"line {lineno}: order is not an integer or 'inf'") from None
+                k = _integer(tokens[3], lineno, "order is not an integer or 'inf'")
                 if k < 2:
                     raise CoxParseError(f"line {lineno}: pairwise order must be >= 2")
             key = (i - 1, j - 1)

@@ -15,7 +15,12 @@ them, is N_T / L for an integer polynomial N_T and the one denominator
 
     L = prod_k Phi_k^{e_k},   e_k = max over spherical T of #{degrees of T divisible by k},
 
-built per table from the classifier's degree tuples.  The recursion then
+built per table from the classifier's degree tuples.  The table reads the
+k dividing each degree off its divisor pairs and keeps the e_k; L is the
+:func:`~coxgrowth.ratfunc.cyclotomic_product` of those exponents, one
+Moebius product of binomials 1 - t^d, so no product of Phi_k is
+multiplied out here (the Phi_k of a squarefree degree such as 30030 are
+dense).  The recursion then
 adds integer coefficient vectors (no gcd anywhere): an infinite entry is
 N_T = (-1)^{|T|+1} * acc with acc = L * S(T), and a finite entry is
 N_T = acc / (t^m - (-1)^{|T|}) followed by W_T = L / N_T.  Both divisions
@@ -118,13 +123,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from math import isqrt
 from operator import add, lshift, sub
 from struct import Struct
 
 from .classify import classify_all, spherical_subsets
 from .coxeter import CoxeterMatrix, Mask, superset_sums
 from .ratfunc import (P_ONE, Poly, RatFunc, RF_ZERO, cancel_factors, cyclotomic,
-                      format_ratfunc, substitute_inverse)
+                      cyclotomic_product, format_ratfunc, substitute_inverse)
 
 # Bytes per packed coefficient of a new table; a table whose bounds outgrow
 # them is rebuilt at twice the width.
@@ -159,12 +165,14 @@ def _sign(k: int) -> int:
 
 def _multiplicities(degrees) -> dict:
     """k -> #{degrees divisible by k}, k >= 2: the multiplicity of Phi_k in
-    prod_i [d_i]_t (Solomon)."""
+    prod_i [d_i]_t (Solomon).  The k dividing d are the divisors j and d/j,
+    j <= sqrt(d)."""
     counts = {}
     for d in degrees:
-        for k in range(2, d + 1):
-            if d % k == 0:
-                counts[k] = counts.get(k, 0) + 1
+        for j in range(1, isqrt(d) + 1):
+            if d % j == 0:
+                for k in {j, d // j} - {1}:
+                    counts[k] = counts.get(k, 0) + 1
     return counts
 
 
@@ -176,16 +184,6 @@ def _cyclotomic_factors(degree_tuples) -> dict:
         for k, c in _multiplicities(degrees).items():
             exponents[k] = max(exponents.get(k, 0), c)
     return {k: (cyclotomic(k), exponents[k]) for k in sorted(exponents)}
-
-
-def _common_denominator(factors) -> Poly:
-    """L = prod_k Phi_k^{e_k}, from the factors of :func:`_cyclotomic_factors`:
-    the least common multiple of the prod_i [d_i]_t."""
-    out = P_ONE
-    for phi, e in factors.values():
-        for _ in range(e):
-            out = out * phi
-    return out
 
 
 class _Packing:
@@ -258,7 +256,7 @@ class GrowthTable:
         self.matrix = matrix
         self.infos, self.spherical = classify_all(matrix)
         self._factors = _cyclotomic_factors({i.degrees for i in self.infos if i.finite})
-        self.denominator = _common_denominator(self._factors)
+        self.denominator = cyclotomic_product({k: e for k, (_, e) in self._factors.items()})
         width = _DIGIT_BYTES
         while True:
             try:
@@ -411,7 +409,7 @@ class GrowthTable:
 
     def _over_denominator(self, numerator: Poly) -> RatFunc:
         """numerator / L, canonical: gcd(numerator, L) is found among L's factors."""
-        return RatFunc.from_coprime(*cancel_factors(numerator, self._factors.values()))
+        return RatFunc.from_coprime(*cancel_factors(numerator, self._factors))
 
     def series(self, subset: Mask = None) -> RatFunc:
         if subset is None:
@@ -435,8 +433,8 @@ class GrowthTable:
         if wt not in self._quotients:
             w, info = self.series(), self.infos[subset]
             if info.finite:
-                factors = [(self._factors[k][0], c)
-                           for k, c in _multiplicities(info.degrees).items()]
+                factors = {k: (self._factors[k][0], c)
+                           for k, c in _multiplicities(info.degrees).items()}
                 num, rest = cancel_factors(w.num, factors)
                 self._quotients[wt] = RatFunc.from_coprime(num, w.den * rest)
             else:

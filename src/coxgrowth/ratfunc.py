@@ -12,8 +12,12 @@ The canonical form is unique, so ``==`` is plain structural comparison.
 The constructor reaches it through a polynomial gcd.  Where the pair is
 known to be coprime already, :meth:`RatFunc.from_coprime` normalises only
 content and sign; :func:`cancel_factors` supplies such a pair without a gcd
-when one side is a product of known irreducible factors, such as the
-cyclotomic common denominator of a growth table.  Everything runs on
+when one side is a product of cyclotomic polynomials, such as the common
+denominator of a growth table.  Every such product, a single Phi_k
+included, is formed by one function, :func:`cyclotomic_product`, as a
+product of binomials 1 - t^d with exponents from Moebius inversion (Lang,
+*Algebra*, VI.3): a few sparse multiplications and prefix-sum divisions,
+never a multiplication of dense polynomials.  Everything runs on
 Python's unbounded ints, series extraction included: its recurrence
 divides by the denominator's constant term in Z and stops at the first
 coefficient that is not an integer.  ``Fraction`` is used only for
@@ -404,72 +408,85 @@ def substitute_inverse(r: RatFunc) -> RatFunc:
 
 
 def cyclotomic(k: int) -> Poly:
-    """Phi_k, the k-th cyclotomic polynomial, by the Moebius product
+    """Phi_k, the k-th cyclotomic polynomial: ``cyclotomic_product({k: 1})``."""
+    return cyclotomic_product({k: 1})
+
+
+def cyclotomic_product(exponents: dict) -> Poly:
+    """prod_k Phi_k^{e_k} over the items k: e_k (k >= 1, e_k >= 0) of
+    ``exponents``, by the Moebius product
 
         Phi_k(t) = prod_{e | rad k} (t^{k/e} - 1)^{mu(e)}
 
     over the divisors e of rad k, the product of the distinct primes of k,
     with the Moebius function mu (Moebius inversion of
     t^k - 1 = prod_{d | k} Phi_d; Lang, *Algebra*, VI.3).  For k > 1 the
-    mu(e) sum to 0, so the product is also prod (1 - t^{k/e})^{mu(e)}, whose
-    factors are units of Z[[t]].  It is formed modulo t^(n+1), n = phi(k) =
-    deg Phi_k: each factor is a sparse multiply by 1 - t^d, or an exact
-    division by it (a prefix sum with stride d), in O(n) steps, and a
-    factor with d > n is 1 there.
+    mu(e) sum to 0, so Phi_k is also prod (1 - t^{k/e})^{mu(e)}, whose
+    factors are units of Z[[t]], and Phi_1 = -(1 - t).  So the whole
+    product is (-1)^{e_1} prod_d (1 - t^d)^{a_d}, with
+
+        a_d = sum over the k divisible by d of mu(k/d) e_k,
+
+    the exponents summed before anything is multiplied.  It is formed
+    modulo t^(n+1), n = sum_d d a_d = sum_k e_k phi(k) its degree: each
+    factor is a sparse multiply by 1 - t^d, or an exact division by it (a
+    prefix sum with stride d), in O(n) steps, and a factor with d > n is 1
+    there.  The multiplications run first, so the divisions run on a
+    polynomial.
     """
-    if k == 1:
-        return Poly((-1, 1))
-    primes, rest, p = [], k, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        primes.append(rest)
-    n = k
-    for p in primes:
-        n = n // p * (p - 1)
-    divisors = [(1, 1)]                     # (e, mu(e)) for e | rad k
-    for p in primes:
-        divisors += [(e * p, -mu) for e, mu in divisors]
+    powers = {}                             # d -> a_d
+    for k, e in exponents.items():
+        primes, rest, p = [], k, 2
+        while p * p <= rest:
+            if rest % p == 0:
+                primes.append(p)
+                while rest % p == 0:
+                    rest //= p
+            p += 1 if p == 2 else 2
+        if rest > 1:
+            primes.append(rest)
+        terms = [(k, e)]                    # (k/s, mu(s) e) for s | rad k
+        for p in primes:
+            terms += [(d // p, -a) for d, a in terms]
+        for d, a in terms:
+            powers[d] = powers.get(d, 0) + a
+    n = sum(d * a for d, a in powers.items())
     coeffs = [1] + [0] * n
-    for e, mu in divisors:
-        d = k // e
+    for d, a in sorted(powers.items(), key=lambda item: item[1] < 0):
         if d > n:
             continue
-        if mu > 0:
+        for _ in range(a):                  # times 1 - t^d
             coeffs[d:] = map(sub, coeffs[d:], coeffs[:-d])
-        elif d * d <= n:                    # few strides: a prefix sum along each
-            for r in range(d):
-                coeffs[r::d] = accumulate(coeffs[r::d])
-        else:                               # few blocks of d: add each to the next
-            for j in range(d, n + 1, d):
-                coeffs[j:j + d] = map(add, coeffs[j:j + d], coeffs[j - d:j])
-    return Poly(coeffs)
+        for _ in range(-a):                 # over 1 - t^d
+            if d * d <= n:                  # few strides: a prefix sum along each
+                for r in range(d):
+                    coeffs[r::d] = accumulate(coeffs[r::d])
+            else:                           # few blocks of d: add each to the next
+                for j in range(d, n + 1, d):
+                    coeffs[j:j + d] = map(add, coeffs[j:j + d], coeffs[j - d:j])
+    return -Poly(coeffs) if exponents.get(1, 0) & 1 else Poly(coeffs)
 
 
-def cancel_factors(p: Poly, factors) -> tuple:
-    """``(p / g, F / g)`` for F = prod f^e over the pairs (f, e) of ``factors``
-    and g = gcd(p, F), by trial division: no gcd is taken.
+def cancel_factors(p: Poly, factors: dict) -> tuple:
+    """``(p / g, F / g)`` for F = prod_k Phi_k^{e_k} over the items
+    k: (Phi_k, e_k) of ``factors`` and g = gcd(p, F), with no gcd taken.
 
-    Each f must be primitive and irreducible over Q, and no two may be
-    associates (the cyclotomic polynomials Phi_k are); then
-    g = prod f^min(e, v_f(p)), and the two results are coprime over Q.
+    The Phi_k are irreducible over Q and pairwise coprime, so
+    g = prod_k Phi_k^{min(e_k, v_k)}, v_k the multiplicity of Phi_k in p:
+    trial division by each Phi_k finds it, and F / g is the
+    :func:`cyclotomic_product` of the exponents left.  The two results are
+    coprime over Q.
     """
-    rest = P_ONE
-    for f, e in factors:
-        kept = e
-        while kept:
+    left = {}
+    for k, (phi, e) in factors.items():
+        while e:
             try:
-                p = p.exact_div(f)
+                p = p.exact_div(phi)
             except ValueError:
                 break
-            kept -= 1
-        for _ in range(kept):
-            rest = rest * f
-    return p, rest
+            e -= 1
+        left[k] = e
+    return p, cyclotomic_product(left)
 
 
 def format_poly(p: Poly) -> str:

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coxgrowth
-from coxgrowth import (WordOracle, cli, coxeter_matrix, euler_series, format_ratfunc, get,
-                       serialize_coxeter)
+from coxgrowth import (ENTRIES, WordOracle, cli, coxeter_matrix, euler_series, format_ratfunc,
+                       get, serialize_coxeter)
 from coxgrowth.cli import REPORT_SCHEMA, SUBCOMMANDS, _build_parser, _fast_parse, main
 from test_census import reference_records
 
@@ -268,6 +268,14 @@ def test_catalog_self_test_passes(capsys):
     assert code == 0
     assert len(doc["checks"]) >= 32
     assert [c for c in doc["checks"] if c["status"] != "pass"] == []
+
+
+def test_catalog_and_shipped_files_agree():
+    # the catalog and systems/*.cox are two hand-kept copies of one list
+    stems = sorted(path.stem for path in Path(SYS).glob("*.cox"))
+    assert sorted(entry.name for entry in ENTRIES) == stems
+    for name in stems:
+        assert cli._load(f"{SYS}/{name}.cox") == get(name).matrix, name
 
 
 def test_parse_error_exit_code_and_message(capsys, tmp_path):

@@ -59,6 +59,49 @@ def test_parse_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("text,lineno,fragment", [
+    ("rank 2\nm 1 2 1_0\n", 2, "order is not an integer or 'inf': '1_0'"),
+    ("rank 2\nm 1 2 +3\n", 2, "order is not an integer or 'inf'"),
+    ("rank 2\nm 1 2 -3\n", 2, "order is not an integer or 'inf'"),
+    ("rank 2\nm 1 2 \uff13\n", 2, "order is not an integer or 'inf'"),   # fullwidth 3
+    ("rank 2\nm 1 2 \u00b2\n", 2, "order is not an integer or 'inf'"),   # superscript 2
+    ("rank 2\nm 1 2 Inf\n", 2, "order is not an integer or 'inf'"),
+    ("rank 2\nm 1 2 " + "9" * 5000 + "\n", 2, "order is not an integer or 'inf'"),
+    ("rank \u0662\n", 1, "rank is not an integer"),                      # Arabic-Indic 2
+    ("# c\nrank +2\n", 2, "rank is not an integer"),
+    ("rank 0x2\n", 1, "rank is not an integer"),
+    ("rank 2\nm +1 2 3\n", 2, "generator indices are not integers"),
+    ("rank 2\nm 1 \u0968 3\n", 2, "generator indices are not integers"),  # Devanagari 2
+    ("rank 2\nm 1_0 2 3\n", 2, "generator indices are not integers"),
+])
+def test_parse_accepts_only_ascii_decimal_digits(text, lineno, fragment):
+    with pytest.raises(CoxParseError) as exc:
+        parse_coxeter_file(text)
+    assert str(exc.value).startswith(f"line {lineno}: {fragment}")
+
+
+def test_parse_leading_zeros_are_decimal():
+    assert parse_coxeter_file("rank 02\nm 01 2 010\n") == coxeter_matrix(2, {(0, 1): 10})
+
+
+def test_parse_skips_one_byte_order_mark():
+    text = "# A_3\nrank 3\nm 1 2 3\nm 2 3 3\n"
+    assert parse_coxeter_file("\ufeff" + text) == parse_coxeter_file(text)
+    with pytest.raises(CoxParseError, match="line 1: unknown directive"):
+        parse_coxeter_file("\ufeff\ufeff" + text)
+
+
+def test_parse_byte_order_mark_file(tmp_path):
+    # a file saved by an editor that writes a UTF-8 BOM, read as the CLI reads it
+    from coxgrowth.cli import _load
+
+    plain, marked = tmp_path / "plain.cox", tmp_path / "marked.cox"
+    plain.write_text("rank 2\nm 1 2 5\n", encoding="utf-8")
+    marked.write_text("rank 2\nm 1 2 5\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert _load(marked) == _load(plain)
+
+
 def test_parse_error_names_line_number():
     with pytest.raises(CoxParseError, match="line 3"):
         parse_coxeter_file("rank 2\n# fine\nm 1 2 bad\n")

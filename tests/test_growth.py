@@ -2,6 +2,7 @@
 
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from coxgrowth import (ENTRIES, INFINITY, InvariantViolation, WordOracle,
                        classify, get, growth_series, nerve_coefficients,
                        spherical_subsets, verify_identities, verify_identity)
+from conftest import schoolbook_product
 from coxgrowth import growth
-from coxgrowth.coxeter import coxeter_matrix
+from coxgrowth.coxeter import coxeter_matrix, parse_coxeter_file
 from coxgrowth.classify import classify_all
 from coxgrowth.growth import GrowthTable
 from coxgrowth.ratfunc import (Poly, RatFunc, cyclotomic, format_ratfunc, series_expand,
@@ -333,17 +335,58 @@ def test_denominator_missing_a_factor_is_caught(monkeypatch, name):
     # any cyclotomic factor of L taken away leaves some finite entry whose
     # numerator is not a polynomial: the table must raise, not return a series
     matrix = get(name).matrix
-    full = growth._common_denominator
-    denominator = full(growth._cyclotomic_factors(
-        {classify(matrix, t).degrees for t in spherical_subsets(matrix)}))
+    factors_of = growth._cyclotomic_factors
+    denominator = GrowthTable(matrix).denominator
     factors = [k for k in range(2, 31)
                if _divides(cyclotomic(k), denominator)]
     assert factors
     for k in factors:
-        monkeypatch.setattr(growth, "_common_denominator",
-                            lambda factors, k=k: full(factors).exact_div(cyclotomic(k)))
+        def one_fewer(degree_tuples, k=k):
+            out = factors_of(degree_tuples)
+            phi, e = out[k]
+            out[k] = (phi, e - 1)
+            return out
+
+        monkeypatch.setattr(growth, "_cyclotomic_factors", one_fewer)
         with pytest.raises(InvariantViolation):
             GrowthTable(matrix)
+
+
+def _multiplicities_by_scan(degrees):
+    """k -> #{degrees divisible by k}, every k in 2..d tried."""
+    counts = {}
+    for d in degrees:
+        for k in range(2, d + 1):
+            if d % k == 0:
+                counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+def test_multiplicities_match_scan():
+    for degrees in [(2,), (2, 3, 4), (2, 6, 8, 12), (1, 2), (30030,), (2, 360), (97, 98, 99),
+                    tuple(range(2, 18))]:
+        assert growth._multiplicities(degrees) == _multiplicities_by_scan(degrees), degrees
+
+
+def _golden_systems():
+    root = Path(__file__).resolve().parent
+    return [parse_coxeter_file(path.read_text(encoding="utf-8"))
+            for path in sorted((root / "golden" / "systems").glob("*.cox"))]
+
+
+def test_denominator_is_the_schoolbook_product():
+    # L, formed by one Moebius product, equals L multiplied out factor by
+    # factor, with e_k the largest Solomon multiplicity over the finite types
+    matrices = ([e.matrix for e in ENTRIES] + EXTRA_FINITE + _golden_systems()
+                + [coxeter_matrix(2, {(0, 1): m}) for m in (30, 210, 360, 1001)])
+    for matrix in matrices:
+        table = GrowthTable(matrix)
+        exponents = {}
+        for info in table.infos:
+            if info.finite:
+                for k, c in _multiplicities_by_scan(info.degrees).items():
+                    exponents[k] = max(exponents.get(k, 0), c)
+        assert table.denominator == schoolbook_product(exponents), matrix
 
 
 def test_invariant_violation_message():

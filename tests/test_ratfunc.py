@@ -5,8 +5,10 @@ from decimal import Decimal
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from coxgrowth.ratfunc import (Poly, RatFunc, cancel_factors, cyclotomic, format_poly,
-                               format_ratfunc, poly_gcd, series_expand, substitute_inverse)
+from conftest import schoolbook_product
+from coxgrowth.ratfunc import (Poly, RatFunc, cancel_factors, cyclotomic, cyclotomic_product,
+                               format_poly, format_ratfunc, poly_gcd, series_expand,
+                               substitute_inverse)
 
 
 def P(*coeffs):
@@ -200,6 +202,40 @@ def test_substitute_inverse_matches_gcd_path(r, a, b):
     assert substitute_inverse(r) == _substitute_inverse_by_gcd(r)
 
 
+exponent_maps = st.dictionaries(st.integers(min_value=1, max_value=60),
+                                st.integers(min_value=0, max_value=4), max_size=8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(exponent_maps)
+def test_cyclotomic_product_matches_schoolbook_product(exponents):
+    assert cyclotomic_product(exponents) == schoolbook_product(exponents)
+
+
+def test_cyclotomic_product_examples():
+    assert cyclotomic_product({}) == P(1)
+    assert cyclotomic_product({1: 0, 5: 0}) == P(1)
+    assert cyclotomic_product({1: 1}) == P(-1, 1)
+    assert cyclotomic_product({1: 2}) == P(1, -2, 1)
+    # [2]_t [3]_t [4]_t = Phi_2^2 Phi_3 Phi_4, the Poincare polynomial of A_3
+    assert cyclotomic_product({2: 2, 3: 1, 4: 1}) == P(1, 3, 5, 6, 5, 3, 1)
+    # t^12 - 1 = prod_{d | 12} Phi_d
+    assert cyclotomic_product({d: 1 for d in (1, 2, 3, 4, 6, 12)}) == \
+        Poly((-1,) + (0,) * 11 + (1,))
+
+
+def test_cyclotomic_product_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for exponents in ({2: 3, 3: 2, 5: 1}, {1: 3, 6: 2, 10: 1, 15: 1}, {30: 2, 7: 1, 12: 3},
+                      {k: k % 3 for k in range(1, 25)}):
+        expected = sympy.Integer(1)
+        for k, e in exponents.items():
+            expected *= sympy.cyclotomic_poly(k, t) ** e
+        coeffs = sympy.Poly(sympy.expand(expected), t).all_coeffs()[::-1]
+        assert cyclotomic_product(exponents).coeffs == tuple(int(c) for c in coeffs), exponents
+
+
 @settings(max_examples=80, deadline=None)
 @given(coeff_lists,
        st.dictionaries(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=3),
@@ -208,11 +244,8 @@ def test_substitute_inverse_matches_gcd_path(r, a, b):
 def test_cancel_factors_matches_gcd_reduction(base, exponents, shared):
     # a random polynomial times a random sub-product of L = prod Phi_k^e_k
     # (and possibly further cyclotomic factors), reduced both ways up
-    factors = [(cyclotomic(k), e) for k, e in sorted(exponents.items())]
-    L = Poly((1,))
-    for phi, e in factors:
-        for _ in range(e):
-            L = L * phi
+    factors = {k: (cyclotomic(k), e) for k, e in sorted(exponents.items())}
+    L = schoolbook_product(exponents)
     num = Poly(base)
     for k in shared:
         num = num * cyclotomic(k)
