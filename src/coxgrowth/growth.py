@@ -165,14 +165,15 @@ def _sign(k: int) -> int:
 
 def _multiplicities(degrees) -> dict:
     """k -> #{degrees divisible by k}, k >= 2: the multiplicity of Phi_k in
-    prod_i [d_i]_t (Solomon).  The k dividing d are the divisors j and d/j,
-    j <= sqrt(d)."""
+    prod_i [d_i]_t (Solomon), for degrees d_i >= 2.  The k dividing d are
+    the divisors d/j and j of d, j <= sqrt(d)."""
     counts = {}
     for d in degrees:
         for j in range(1, isqrt(d) + 1):
             if d % j == 0:
-                for k in {j, d // j} - {1}:
-                    counts[k] = counts.get(k, 0) + 1
+                counts[d // j] = counts.get(d // j, 0) + 1
+                if 1 < j < d // j:
+                    counts[j] = counts.get(j, 0) + 1
     return counts
 
 

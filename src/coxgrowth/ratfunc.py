@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import gcd
-from operator import add, sub
+from operator import add, itemgetter, mul, sub
 
 
 def _exact_point(x):
@@ -450,15 +450,15 @@ def cyclotomic_product(exponents: dict) -> Poly:
             terms += [(d // p, -a) for d, a in terms]
         for d, a in terms:
             powers[d] = powers.get(d, 0) + a
-    n = sum(d * a for d, a in powers.items())
+    n = sum(map(mul, powers, powers.values()))
     coeffs = [1] + [0] * n
-    for d, a in sorted(powers.items(), key=lambda item: item[1] < 0):
+    for d, a in sorted(powers.items(), key=itemgetter(1), reverse=True):
         if d > n:
             continue
-        for _ in range(a):                  # times 1 - t^d
-            coeffs[d:] = map(sub, coeffs[d:], coeffs[:-d])
-        for _ in range(-a):                 # over 1 - t^d
-            if d * d <= n:                  # few strides: a prefix sum along each
+        for _ in range(abs(a)):
+            if a > 0:                       # times 1 - t^d
+                coeffs[d:] = map(sub, coeffs[d:], coeffs[:-d])
+            elif d * d <= n:                # over 1 - t^d, few strides: a prefix sum along each
                 for r in range(d):
                     coeffs[r::d] = accumulate(coeffs[r::d])
             else:                           # few blocks of d: add each to the next
@@ -477,15 +477,15 @@ def cancel_factors(p: Poly, factors: dict) -> tuple:
     :func:`cyclotomic_product` of the exponents left.  The two results are
     coprime over Q.
     """
-    left = {}
+    left = {}                               # k -> e_k - v_k, where positive
     for k, (phi, e) in factors.items():
         while e:
             try:
                 p = p.exact_div(phi)
             except ValueError:
+                left[k] = e
                 break
             e -= 1
-        left[k] = e
     return p, cyclotomic_product(left)
 
 

@@ -363,7 +363,7 @@ def _multiplicities_by_scan(degrees):
 
 
 def test_multiplicities_match_scan():
-    for degrees in [(2,), (2, 3, 4), (2, 6, 8, 12), (1, 2), (30030,), (2, 360), (97, 98, 99),
+    for degrees in [(2,), (2, 3, 4), (2, 6, 8, 12), (4, 9, 36), (30030,), (2, 360), (97, 98, 99),
                     tuple(range(2, 18))]:
         assert growth._multiplicities(degrees) == _multiplicities_by_scan(degrees), degrees
 
