@@ -205,8 +205,8 @@ def parse_coxeter_file(text: str) -> CoxeterMatrix:
                 raise CoxParseError(f"line {lineno}: 'm' directive before 'rank'")
             if len(tokens) != 4:
                 raise CoxParseError(f"line {lineno}: expected 'm I J K'")
-            i, j = (_integer(token, lineno, "generator indices are not integers")
-                    for token in tokens[1:3])
+            i = _integer(tokens[1], lineno, "generator indices are not integers")
+            j = _integer(tokens[2], lineno, "generator indices are not integers")
             if not (1 <= i < j <= rank):
                 raise CoxParseError(f"line {lineno}: need 1 <= I < J <= {rank}")
             if tokens[3] == "inf":

@@ -212,18 +212,6 @@ def test_cyclotomic_product_matches_schoolbook_product(exponents):
     assert cyclotomic_product(exponents) == schoolbook_product(exponents)
 
 
-def test_cyclotomic_product_examples():
-    assert cyclotomic_product({}) == P(1)
-    assert cyclotomic_product({1: 0, 5: 0}) == P(1)
-    assert cyclotomic_product({1: 1}) == P(-1, 1)
-    assert cyclotomic_product({1: 2}) == P(1, -2, 1)
-    # [2]_t [3]_t [4]_t = Phi_2^2 Phi_3 Phi_4, the Poincare polynomial of A_3
-    assert cyclotomic_product({2: 2, 3: 1, 4: 1}) == P(1, 3, 5, 6, 5, 3, 1)
-    # t^12 - 1 = prod_{d | 12} Phi_d
-    assert cyclotomic_product({d: 1 for d in (1, 2, 3, 4, 6, 12)}) == \
-        Poly((-1,) + (0,) * 11 + (1,))
-
-
 def test_cyclotomic_product_matches_sympy():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
